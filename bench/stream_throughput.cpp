@@ -1,24 +1,21 @@
-// Streaming serving-layer throughput: N concurrent Sessions fed chunk by
-// chunk through a SessionPool (the ISSUE-2 acceptance bench), a zero-copy
-// loaned-buffer drive over the sharded StreamServer (the ISSUE-5 acceptance
-// bench: acquire_buffer -> fill in place -> commit, no per-chunk copy or
-// allocation anywhere), plus a session-churn scenario (the ISSUE-4
-// acceptance bench: slots closed, released and re-provisioned while every
-// other stream keeps flowing). Measures aggregate sessions x samples/sec and
-// per-chunk ingest latency percentiles on the exact datapath and on the
-// paper's B9 approximate configuration, and emits one JSON object so future
-// PRs have a machine-readable baseline (committed as BENCH_stream.json).
+// Streaming serving-layer throughput: N concurrent sessions driven through
+// the sharded StreamServer's zero-copy loan path (acquire_buffer -> fill in
+// place -> commit, no per-chunk copy or allocation anywhere) on the exact
+// datapath, plus a session-churn scenario on the paper's B9 approximate
+// configuration (slots closed, released and re-provisioned while every
+// other stream keeps flowing). Measures aggregate sessions x
+// samples/sec and emits one JSON object as a machine-readable baseline
+// (committed as BENCH_stream.json).
 //
 //   ./bench_stream_throughput [--sessions N] [--samples M] [--chunk C]
 //                             [--threads T] [--shards S] [--iters K]
 //                             [--rotations R]
 //
-// Each path reports the best of K drives (fresh sessions per drive; the
-// shared multiplier/coefficient LUTs are pre-warmed by the pool, as in any
+// Each loan drive reports the best of K drives (fresh sessions per drive;
+// the shared multiplier/coefficient LUTs are pre-warmed by open(), as in any
 // long-running serving process). Beat counts are printed so the bench
-// doubles as an end-to-end sanity check of the online detector; the
-// zero-copy and churn scenarios additionally require zero faults/rejects
-// and a clean slot ledger.
+// doubles as an end-to-end sanity check of the online detector; every
+// scenario also requires zero faults/rejects and a clean slot ledger.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -28,7 +25,7 @@
 
 #include "xbs/arith/isa.hpp"
 #include "xbs/ecg/dataset.hpp"
-#include "xbs/stream/pool.hpp"
+#include "xbs/pantompkins/pipeline.hpp"
 #include "xbs/stream/server.hpp"
 
 namespace {
@@ -40,18 +37,6 @@ int arg_int(int argc, char** argv, const char* name, int fallback) {
     if (std::strcmp(argv[i], name) == 0) return std::atoi(argv[i + 1]);
   }
   return fallback;
-}
-
-stream::SessionPool::DriveStats best_of(const stream::SessionSpec& spec,
-                                        std::span<const std::vector<i32>> feeds,
-                                        std::size_t chunk, unsigned threads, int iters) {
-  stream::SessionPool::DriveStats best{};
-  for (int it = 0; it < iters; ++it) {
-    stream::SessionPool pool(spec, feeds.size());
-    const auto stats = pool.drive(feeds, chunk, threads);
-    if (it == 0 || stats.samples_per_sec() > best.samples_per_sec()) best = stats;
-  }
-  return best;
 }
 
 struct ChurnResult {
@@ -66,6 +51,7 @@ struct ChurnResult {
 struct ZeroCopyResult {
   double samples_per_sec = 0.0;
   bool clean = true;       ///< no refusals, no faults, every ledger closed
+  unsigned workers = 0;    ///< resolved worker count (0 requested = auto)
   unsigned shards = 0;     ///< resolved shard count (0 requested = auto)
 };
 
@@ -85,6 +71,7 @@ ZeroCopyResult zerocopy_run(const stream::SessionSpec& spec,
                                  .max_chunk_samples = 0,
                                  .workers = threads,
                                  .shards = shards});
+    out.workers = server.workers();
     out.shards = server.shards();
     std::vector<stream::SessionId> ids;
     ids.reserve(feeds.size());
@@ -147,7 +134,7 @@ ChurnResult churn_run(const stream::SessionSpec& spec,
                                .shards = shards});
   const Clock::time_point t0 = Clock::now();
   std::vector<stream::SessionId> ids(n);
-  std::vector<std::size_t> pos(n, 0);
+  std::vector<std::size_t> pos(n);
   std::vector<int> served(n, 0);
   for (std::size_t i = 0; i < n; ++i) ids[i] = server.open(spec);
   std::size_t live = n;
@@ -202,10 +189,10 @@ int main(int argc, char** argv) {
   stream::SessionSpec b9_spec = exact_spec;
   b9_spec.config = pantompkins::PipelineConfig::from_lsbs({10, 12, 2, 8, 16});
 
-  const auto exact = best_of(exact_spec, feeds, chunk, threads, iters);
-  const auto b9 = best_of(b9_spec, feeds, chunk, threads, iters);
-  const ZeroCopyResult zc =
-      zerocopy_run(exact_spec, feeds, chunk, threads, shards, iters);
+  // Cold LUT builds stay out of the timed windows, as in any long-running
+  // serving process (open() warms the tables, but inside churn's clock).
+  pantompkins::warm_pipeline_tables(b9_spec.config);
+  const ZeroCopyResult zc = zerocopy_run(exact_spec, feeds, chunk, threads, shards, iters);
   const ChurnResult churn = churn_run(b9_spec, feeds, chunk, threads, shards, rotations);
 
   std::printf(
@@ -218,18 +205,6 @@ int main(int argc, char** argv) {
       "  \"chunk_samples\": %zu,\n"
       "  \"threads\": %u,\n"
       "  \"iters\": %d,\n"
-      "  \"exact_samples_per_sec\": %.0f,\n"
-      "  \"exact_chunk_p50_us\": %.2f,\n"
-      "  \"exact_chunk_p99_us\": %.2f,\n"
-      "  \"exact_chunk_max_us\": %.2f,\n"
-      "  \"exact_beats\": %llu,\n"
-      "  \"b9_samples_per_sec\": %.0f,\n"
-      "  \"b9_chunk_p50_us\": %.2f,\n"
-      "  \"b9_chunk_p99_us\": %.2f,\n"
-      "  \"b9_chunk_max_us\": %.2f,\n"
-      "  \"b9_beats\": %llu,\n"
-      "  \"realtime_sessions_supported_exact\": %.0f,\n"
-      "  \"realtime_sessions_supported_b9\": %.0f,\n"
       "  \"shards\": %u,\n"
       "  \"exact_zerocopy_samples_per_sec\": %.0f,\n"
       "  \"churn_rotations_per_slot\": %d,\n"
@@ -242,27 +217,22 @@ int main(int argc, char** argv) {
       "}\n",
       static_cast<int>(to_string(arith::kernel_isa().selected).size()),
       to_string(arith::kernel_isa().selected).data(),
-      sessions, samples, chunk, exact.threads, iters, exact.samples_per_sec(),
-      exact.p50_chunk_s * 1e6, exact.p99_chunk_s * 1e6, exact.max_chunk_s * 1e6,
-      static_cast<unsigned long long>(exact.beats), b9.samples_per_sec(),
-      b9.p50_chunk_s * 1e6, b9.p99_chunk_s * 1e6, b9.max_chunk_s * 1e6,
-      static_cast<unsigned long long>(b9.beats),
-      exact.samples_per_sec() / 200.0,  // 200 Hz ECG streams
-      b9.samples_per_sec() / 200.0, zc.shards, zc.samples_per_sec, rotations,
+      sessions, samples, chunk, zc.workers, iters, zc.shards,
+      zc.samples_per_sec, rotations,
       static_cast<unsigned long long>(churn.stats.sessions_released),
       churn.samples_per_sec(), static_cast<unsigned long long>(churn.stats.beats),
       static_cast<unsigned long long>(churn.stats.dropped_chunks),
       static_cast<unsigned long long>(churn.stats.peak_queued_chunks),
       static_cast<unsigned long long>(churn.stats.faulted));
 
-  // Non-zero exit when the online detector found no beats (the serving layer
-  // would be silently broken), when the zero-copy drive refused a chunk or
-  // left a dirty ledger, when churn leaked a slot, or when lifecycle work
-  // faulted, rejected or dropped traffic on a lossless feed.
+  // Non-zero exit when the loan drive refused a chunk, left a dirty ledger or
+  // found no beats (the serving layer would be silently broken), when churn
+  // leaked a slot, or when lifecycle work faulted, rejected or dropped
+  // traffic on a lossless feed.
   const bool churn_clean =
       churn.stats.beats > 0 && churn.stats.faulted == 0 && churn.stats.open == 0 &&
       churn.stats.dropped_chunks == 0 && churn.stats.rejected_chunks == 0 &&
       churn.stats.sessions_released ==
           static_cast<u64>(sessions) * static_cast<u64>(rotations);
-  return (exact.beats > 0 && b9.beats > 0 && zc.clean && churn_clean) ? 0 : 1;
+  return (zc.clean && churn_clean) ? 0 : 1;
 }

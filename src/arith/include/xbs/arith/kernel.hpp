@@ -216,8 +216,8 @@ class ExactKernel final : public Kernel {
 /// keyed by
 /// (MultiplierConfig, coefficient), matching the get_multiplier() cache
 /// idiom; the caches are internally synchronized and the published tables
-/// immutable, so kernels in different threads (one per stream::SessionPool
-/// session) share them safely. A Kernel instance itself is single-consumer
+/// immutable, so kernels in different threads (one per stream::Session)
+/// share them safely. A Kernel instance itself is single-consumer
 /// (mutable op counters and per-kernel table pointers) — give each session
 /// its own.
 class ApproxKernel final : public Kernel {
@@ -292,7 +292,7 @@ class ApproxKernel final : public Kernel {
 
 /// Process-wide cache of full signed per-coefficient product tables
 /// (see ApproxKernel): 2^width entries, `P[u] = mul1(c, sign_extend(u, w))`.
-/// Exposed so serving layers (stream::SessionPool) and benches can pre-warm
+/// Exposed so serving layers (stream::StreamServer) and benches can pre-warm
 /// tables outside timed regions — once warm, every kernel in the process
 /// walks them regardless of chunk size.
 [[nodiscard]] std::shared_ptr<const TableVec> get_signed_coeff_products(

@@ -6,21 +6,27 @@
 /// without giving up its zero-copy contract: a CHUNK frame's samples are
 /// read off the socket *directly into* a StreamServer buffer loan
 /// (socket -> loan.data() -> commit — no intermediate copy anywhere), and
-/// finalized detector events stream back to the client as EVENT frames fed
-/// by the blocking drain_events() overload, so the egress path sleeps
-/// instead of polling.
+/// finalized detector events stream back to the client as EVENT frames.
 ///
-/// Threading model (one listener, C connections):
-///   - one *event-loop* thread owns the listening socket, every connection
-///     fd, all epoll state and all socket reads/writes. It never blocks:
-///     chunk ingest uses try_acquire_buffer, and a session at its high-water
-///     mark parks the connection (EPOLLIN off — TCP backpressure reaches the
+/// Threading model: NetServer runs exactly one thread of its own, the
+/// *event loop*, whatever the connection count. It owns the listening
+/// socket, every connection fd, all epoll state, the token registry and all
+/// socket reads and writes:
+///   - ingest uses try_acquire_buffer; a session at its high-water mark
+///     parks the connection (EPOLLIN off — TCP backpressure reaches the
 ///     client) and retries on a millisecond tick;
-///   - one *egress pump* thread per connection idles in the stream layer's
-///     blocking drain, encodes EVENT frames into the connection's bounded
-///     out-buffer and wakes the loop via an eventfd to flush them. DRAIN /
-///     CLOSE / RESET commands also execute on the pump (they can legally
-///     wait on the stream layer), keeping the loop wait-free.
+///   - egress is loop-owned: the stream layer's EgressNotifier writes the
+///     loop's eventfd when a worker batch appends events or a session lands
+///     Closed/Faulted, and the loop drains the attached sessions with the
+///     non-blocking drain_events(), encodes EVENT frames and flushes them;
+///   - DRAIN, CLOSE, RESET and the park on disconnect run on the loop as
+///     short steps. A DRAIN with nothing to send keeps a per-connection
+///     deadline; a CLOSE starts the drain and parks the connection's reads
+///     until the landing, when the loop sends the tail, marks the record
+///     closed and only then acks. A RESET or park waits at most one
+///     in-flight worker batch (StreamServer::reset()); the remaining waits
+///     on the loop are an OPEN's first table build for a new config and an
+///     eviction's release().
 ///
 /// The front door owns serving policy, not the stream layer:
 ///   - *admission with LRU eviction*: where StreamServer::open() throws at
@@ -49,7 +55,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "xbs/common/sync.hpp"
 #include "xbs/net/protocol.hpp"
 #include "xbs/stream/server.hpp"
 
@@ -73,9 +78,7 @@ class NetServer {
     /// would overflow it are shed (counted); control frames that would
     /// overflow 2x the bound kill the connection.
     std::size_t egress_buffer_bytes = 256 * 1024;
-    /// The embedded stream layer's configuration. event_queue_capacity must
-    /// be > 0 (the egress path needs pull-model events); the constructor
-    /// raises a zero to a default rather than serving an event-less wire.
+    /// The embedded stream layer's configuration.
     stream::StreamServer::Options stream{};
   };
 
@@ -110,15 +113,27 @@ class NetServer {
   [[nodiscard]] Stats stats() const noexcept;
 
   /// Stop accepting, close every connection (their sessions park warm), join
-  /// all threads. Idempotent; the destructor calls it.
+  /// the loop thread. Idempotent; the destructor calls it.
   void stop();
 
  private:
   struct Conn;
-  struct Cmd;
+  struct StatsAtomics;
 
-  // --- event-loop thread ---
+  /// The loop's wakeup eventfd, written by the stream layer's notifier and
+  /// by stop(). Declared before stream_ so it outlives the stream workers,
+  /// which may still fire the notifier while stream_ shuts down.
+  struct WakeFd {
+    WakeFd();
+    ~WakeFd();
+    WakeFd(const WakeFd&) = delete;
+    WakeFd& operator=(const WakeFd&) = delete;
+    int fd = -1;
+  };
+
   void loop();
+  [[nodiscard]] int wait_ms() const;
+  void service(bool egress_due);
   void accept_ready();
   void read_ready(Conn& c);
   void count_in(Conn& c, std::size_t n);
@@ -129,53 +144,48 @@ class NetServer {
   bool start_discard(Conn& c);
   void finish_chunk(Conn& c);
   bool protocol_fatal(Conn& c, WireError code, std::string_view message);
-  void push_cmd(Conn& c, Cmd cmd);
+  void park_reads(Conn& c, bool parked);
   void flush_out(Conn& c);
   void update_epoll(Conn& c);
   void kill_conn(Conn& c, bool flush_first);
-  void reap_graveyard(bool wait_all);
+  void park(Conn& c);
 
-  // --- pump thread (one per connection) ---
-  void pump_loop(Conn& c);
-  void pump_park(Conn& c, u64 token, stream::SessionId sid);
-  StatsFrame make_stats(const Conn& c, StatsAck ack, stream::SessionId sid) const;
-
-  // --- either thread ---
+  // Egress: everything below appends to the connection's out-buffer.
+  std::size_t send_events(Conn& c);
+  void finish_drain(Conn& c);
+  void poll_drain(Conn& c);
+  void finish_close(Conn& c);
   void send_frame(Conn& c, const std::vector<u8>& bytes, std::size_t n_events);
+  void send_stats(Conn& c, StatsAck ack);
   void send_error(Conn& c, WireError code, std::string_view message);
-  void wake_loop();
+  void wake_loop() noexcept;
 
-  // --- registry (reg_mu_) ---
+  // Token registry (loop thread only).
   enum class TokenState { Attached, Parked, ClosedKept };
   struct TokenEntry {
     stream::SessionId sid{};
     TokenState st = TokenState::Attached;
     u64 lru_seq = 0;
   };
-  WireError admit(const OpenFrame& f, stream::SessionId& sid, StatsAck& ack)
-      XBS_EXCLUDES(reg_mu_);
-  bool evict_one_locked() XBS_REQUIRES(reg_mu_);
+  WireError admit(const OpenFrame& f, stream::SessionId& sid, StatsAck& ack);
+  bool evict_one();
 
   Options opts_;
+  WakeFd wake_;
   stream::StreamServer stream_;
   u16 port_ = 0;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: pumps (and stop()) nudge the loop
   std::atomic<bool> stop_{false};
   std::thread loop_thread_;
 
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;   ///< loop thread only
-  std::vector<std::unique_ptr<Conn>> graveyard_;           ///< loop thread only
+  // Loop thread only.
+  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  std::unordered_map<u64, TokenEntry> registry_;
+  u64 lru_counter_ = 0;
+  std::vector<stream::Event> evs_;  ///< drain scratch
+  std::vector<u8> frame_;           ///< encode scratch
 
-  /// Rank kNetConn: the front door's locks sit at the bottom of the
-  /// hierarchy — admit() calls into the stream layer (shard locks, rank
-  /// kShard) while holding reg_mu_, never the other way around.
-  mutable common::Mutex reg_mu_{common::LockRank::kNetConn};
-  std::unordered_map<u64, TokenEntry> registry_ XBS_GUARDED_BY(reg_mu_);
-  u64 lru_counter_ XBS_GUARDED_BY(reg_mu_) = 0;
-
-  struct StatsAtomics;
   std::unique_ptr<StatsAtomics> stats_;
 };
 

@@ -13,13 +13,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
 namespace xbs::net {
-
-using namespace std::chrono_literals;
 
 namespace {
 
@@ -30,14 +27,8 @@ constexpr std::size_t kMaxControlPayload = 4096;
 /// frame bound (1024 * 72B + 8B header comfortably under 1 MiB).
 constexpr std::size_t kMaxEventsPerFrame = 1024;
 /// Upper bound the server enforces on DRAIN waits, so a hostile timeout
-/// cannot wedge a pump thread for minutes.
+/// cannot hold a reply back for minutes.
 constexpr u32 kMaxDrainTimeoutMs = 5000;
-
-stream::StreamServer::Options normalize(stream::StreamServer::Options so) {
-  // The wire has no event path without pull-model egress: raise a zero.
-  if (so.event_queue_capacity == 0) so.event_queue_capacity = 1024;
-  return so;
-}
 
 void set_nonblocking(int fd) {
   const int fl = ::fcntl(fd, F_GETFL, 0);
@@ -60,21 +51,12 @@ struct NetServer::StatsAtomics {
   std::atomic<u64> bytes_out{0};
 };
 
-/// Loop -> pump commands (executed in arrival order, so an Attach from a
-/// re-OPEN always lands after the Close/Park of the previous record).
-struct NetServer::Cmd {
-  enum class Kind { Attach, Drain, Close, Reset, Park };
-  Kind kind = Kind::Attach;
-  stream::SessionId sid{};
-  u64 token = 0;
-  u32 timeout_ms = 0;
-  bool warm = false;
-};
-
+/// One client connection. Touched by the event-loop thread only, so no
+/// field needs a lock or an atomic.
 struct NetServer::Conn {
   int fd = -1;
 
-  // Receive state machine — event-loop thread only.
+  // Receive state machine.
   enum class Rx { Header, Payload, Chunk, Discard };
   Rx rx = Rx::Header;
   std::array<u8, kHeaderBytes> hdr_raw{};
@@ -89,44 +71,42 @@ struct NetServer::Conn {
   bool has_session = false;
   u64 token = 0;
   stream::SessionId sid{};
-  bool stalled = false;  ///< session at its high-water mark: EPOLLIN off
-  bool dead = false;
-  bool epoll_in = true;
+  /// Reads parked (EPOLLIN off): a chunk waits at the high-water mark, or a
+  /// CLOSE waits for its landing.
+  bool stalled = false;
+  bool closing = false;        ///< CLOSE accepted, its ack waits for the landing
+  bool drain_pending = false;  ///< DRAIN waiting for its first event
+  std::chrono::steady_clock::time_point drain_deadline{};
+  bool dead = false;  ///< killed; reaped once any pending CLOSE has landed
   bool epoll_out = false;
 
-  // Egress buffer — shared between the loop (flush) and the pump (append).
-  // Rank kNetConn, like every front-door lock; out_mu, cmd_mu and the
-  // registry lock are never held together (same-rank nesting asserts in
-  // Debug), they just all sit below the stream layer's shard locks.
-  common::Mutex out_mu{common::LockRank::kNetConn};
-  std::vector<u8> out XBS_GUARDED_BY(out_mu);
-  std::size_t out_off XBS_GUARDED_BY(out_mu) = 0;
-  std::atomic<bool> kill_requested{false};
-
-  // Command queue + pump lifecycle.
-  common::Mutex cmd_mu{common::LockRank::kNetConn};
-  common::CondVar cmd_cv;
-  std::deque<Cmd> cmds XBS_GUARDED_BY(cmd_mu);
-  std::atomic<bool> pump_stop{false};
-  std::atomic<bool> pump_done{false};
-  std::thread pump;
+  // Egress buffer: bytes queued for the socket.
+  std::vector<u8> out;
+  std::size_t out_off = 0;
 
   // Per-connection counters (surfaced in STATS frames).
-  std::atomic<u64> n_events_sent{0};
-  std::atomic<u64> n_events_shed{0};
-  std::atomic<u64> n_bytes_in{0};
-  std::atomic<u64> n_bytes_out{0};
+  u64 n_events_sent = 0;
+  u64 n_events_shed = 0;
+  u64 n_bytes_in = 0;
+  u64 n_bytes_out = 0;
 };
+
+NetServer::WakeFd::WakeFd() : fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd < 0) {
+    throw std::runtime_error(std::string("NetServer: eventfd: ") + std::strerror(errno));
+  }
+}
+
+NetServer::WakeFd::~WakeFd() { ::close(fd); }
 
 // ------------------------------------------------------------- construction
 
 NetServer::NetServer(Options opts)
-    : opts_(std::move(opts)), stream_(normalize(opts_.stream)) {
+    : opts_(std::move(opts)), stream_(opts_.stream, [this] { wake_loop(); }) {
   stats_ = std::make_unique<StatsAtomics>();
   auto fail = [&](const char* what) {
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
     throw std::runtime_error(std::string("NetServer: ") + what + ": " +
                              std::strerror(errno));
   };
@@ -159,14 +139,12 @@ NetServer::NetServer(Options opts)
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) fail("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) fail("eventfd");
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) fail("epoll add");
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) fail("epoll add");
+  ev.data.fd = wake_.fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_.fd, &ev) != 0) fail("epoll add");
 
   loop_thread_ = std::thread([this] { loop(); });
 }
@@ -177,17 +155,18 @@ void NetServer::stop() {
   // Owner-thread lifecycle call (the destructor path); not for concurrent use.
   if (!stop_.exchange(true)) wake_loop();
   if (loop_thread_.joinable()) loop_thread_.join();
-  // Post-join: every thread that could write wake_fd_ (the loop, the pumps
-  // it joined before exiting, the wake in this call) happens-before here.
+  // The wake eventfd stays open: stream workers may still fire the notifier
+  // until stream_ is destroyed (WakeFd closes it after that).
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  listen_fd_ = epoll_fd_ = -1;
 }
 
-void NetServer::wake_loop() {
+void NetServer::wake_loop() noexcept {
+  // The EgressNotifier contract: no lock, never blocks (the eventfd is
+  // non-blocking, and a saturated counter already means "wake up").
   const u64 one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  [[maybe_unused]] ssize_t n = ::write(wake_.fd, &one, sizeof one);
 }
 
 NetServer::Stats NetServer::stats() const noexcept {
@@ -209,13 +188,12 @@ NetServer::Stats NetServer::stats() const noexcept {
 // ------------------------------------------------------------------ registry
 
 WireError NetServer::admit(const OpenFrame& f, stream::SessionId& sid, StatsAck& ack) {
-  const common::MutexLock lock(reg_mu_);
   auto it = registry_.find(f.token);
   if (it != registry_.end()) {
     TokenEntry& e = it->second;
     if (e.st == TokenState::Attached) {
-      // Its previous connection has not parked it yet (parking is
-      // asynchronous after a disconnect): the client retries shortly.
+      // Attached to a live connection — typically one whose disconnect the
+      // loop has not read yet (it parks on EOF): the client retries shortly.
       return WireError::SessionBusy;
     }
     if (e.st == TokenState::Parked) {
@@ -248,7 +226,7 @@ WireError NetServer::admit(const OpenFrame& f, stream::SessionId& sid, StatsAck&
       // At the stream layer's ceiling the front door evicts instead of
       // refusing: stalest Closed-but-unreleased record first, then the
       // stalest parked session.
-      if (!evict_one_locked()) return WireError::SessionLimit;
+      if (!evict_one()) return WireError::SessionLimit;
     }
   }
   registry_[f.token] = TokenEntry{sid, TokenState::Attached, ++lru_counter_};
@@ -257,7 +235,7 @@ WireError NetServer::admit(const OpenFrame& f, stream::SessionId& sid, StatsAck&
   return WireError::None;
 }
 
-bool NetServer::evict_one_locked() {
+bool NetServer::evict_one() {
   auto pick = [&](TokenState st) {
     auto best = registry_.end();
     for (auto it = registry_.begin(); it != registry_.end(); ++it) {
@@ -280,41 +258,42 @@ bool NetServer::evict_one_locked() {
 // -------------------------------------------------------------------- egress
 
 void NetServer::send_frame(Conn& c, const std::vector<u8>& bytes, std::size_t n_events) {
-  bool kill = false;
-  {
-    const common::MutexLock lock(c.out_mu);
-    const std::size_t pending = c.out.size() - c.out_off;
-    if (n_events > 0 && pending + bytes.size() > opts_.egress_buffer_bytes) {
-      // Slow-reader shedding: whole EVENT frames drop (frames must never
-      // tear), counted instead of growing the buffer without bound.
-      c.n_events_shed.fetch_add(n_events, std::memory_order_relaxed);
-      stats_->events_shed.fetch_add(n_events, std::memory_order_relaxed);
+  if (c.dead) return;
+  // Events are shed past the bound; control replies only past twice it.
+  const std::size_t bound = (n_events > 0 ? 1 : 2) * opts_.egress_buffer_bytes;
+  if (c.out.size() - c.out_off + bytes.size() > bound) {
+    flush_out(c);  // the socket may take the backlog right now
+    if (c.dead) return;
+  }
+  if (c.out.size() - c.out_off + bytes.size() > bound) {
+    if (n_events == 0) {
+      kill_conn(c, false);  // cannot even absorb control replies: broken reader
       return;
     }
-    if (n_events == 0 && pending + bytes.size() > 2 * opts_.egress_buffer_bytes) {
-      kill = true;  // cannot even absorb control replies: broken reader
-    } else {
-      c.out.insert(c.out.end(), bytes.begin(), bytes.end());
-      if (n_events > 0) {
-        c.n_events_sent.fetch_add(n_events, std::memory_order_relaxed);
-        stats_->events_sent.fetch_add(n_events, std::memory_order_relaxed);
-      }
-    }
+    // Slow-reader shedding: whole EVENT frames drop (frames must never
+    // tear), counted instead of growing the buffer without bound.
+    c.n_events_shed += n_events;
+    stats_->events_shed.fetch_add(n_events, std::memory_order_relaxed);
+    return;
   }
-  if (kill) c.kill_requested.store(true, std::memory_order_relaxed);
-  wake_loop();
+  c.out.insert(c.out.end(), bytes.begin(), bytes.end());
+  if (n_events > 0) {
+    c.n_events_sent += n_events;
+    stats_->events_sent.fetch_add(n_events, std::memory_order_relaxed);
+  }
 }
 
 void NetServer::send_error(Conn& c, WireError code, std::string_view message) {
-  std::vector<u8> buf;
-  encode_error(buf, code, message);
-  send_frame(c, buf, 0);
+  frame_.clear();
+  encode_error(frame_, code, message);
+  send_frame(c, frame_, 0);
 }
 
-StatsFrame NetServer::make_stats(const Conn& c, StatsAck ack, stream::SessionId sid) const {
+void NetServer::send_stats(Conn& c, StatsAck ack) {
   StatsFrame f;
   f.ack = ack;
-  const auto ss = stream_.session_stats(sid);  // Empty defaults for a stale id
+  // Empty defaults when no session is attached (a stale id finds nothing).
+  const auto ss = stream_.session_stats(c.has_session ? c.sid : stream::SessionId{});
   f.session_state = static_cast<u8>(ss.state);
   f.chunks_in = ss.chunks_in;
   f.chunks_processed = ss.chunks_processed;
@@ -326,144 +305,75 @@ StatsFrame NetServer::make_stats(const Conn& c, StatsAck ack, stream::SessionId 
   f.events_queued = ss.events_queued;
   f.events_dropped = ss.events_dropped;
   f.resets = ss.resets;
-  f.net_events_sent = c.n_events_sent.load(std::memory_order_relaxed);
-  f.net_events_shed = c.n_events_shed.load(std::memory_order_relaxed);
-  f.net_bytes_in = c.n_bytes_in.load(std::memory_order_relaxed);
-  f.net_bytes_out = c.n_bytes_out.load(std::memory_order_relaxed);
-  return f;
+  f.net_events_sent = c.n_events_sent;
+  f.net_events_shed = c.n_events_shed;
+  f.net_bytes_in = c.n_bytes_in;
+  f.net_bytes_out = c.n_bytes_out;
+  frame_.clear();
+  encode_stats(frame_, f);
+  send_frame(c, frame_, 0);
 }
 
-// ---------------------------------------------------------------- pump thread
-
-void NetServer::pump_loop(Conn& c) {
-  bool attached = false;
-  bool idle = false;  // session terminal: stop draining until a command
-  stream::SessionId sid{};
-  u64 token = 0;
-  std::vector<stream::Event> evs;
-  std::vector<u8> frame;
-  auto send_events = [&](std::vector<stream::Event>& batch) {
-    for (std::size_t i = 0; i < batch.size(); i += kMaxEventsPerFrame) {
-      const std::size_t n = std::min(kMaxEventsPerFrame, batch.size() - i);
-      frame.clear();
-      encode_events(frame, std::span<const stream::Event>(batch).subspan(i, n));
-      send_frame(c, frame, n);
-    }
-  };
-  auto send_stats = [&](StatsAck ack, stream::SessionId id) {
-    frame.clear();
-    encode_stats(frame, make_stats(c, ack, id));
-    send_frame(c, frame, 0);
-  };
-  while (true) {
-    Cmd cmd;
-    bool have = false;
-    {
-      common::MutexLock lock(c.cmd_mu);
-      if (!c.cmds.empty()) {
-        cmd = c.cmds.front();
-        c.cmds.pop_front();
-        have = true;
-      } else if (c.pump_stop.load(std::memory_order_relaxed)) {
-        break;
-      } else if (!attached || idle) {
-        c.cmd_cv.wait_for(lock, 50ms);
-        continue;
-      }
-    }
-    if (have) {
-      switch (cmd.kind) {
-        case Cmd::Kind::Attach:
-          attached = true;
-          idle = false;
-          sid = cmd.sid;
-          token = cmd.token;
-          break;
-        case Cmd::Kind::Drain: {
-          if (!attached) break;
-          evs.clear();
-          if (cmd.timeout_ms > 0) {
-            (void)stream_.drain_events(
-                sid, evs,
-                std::chrono::milliseconds(std::min(cmd.timeout_ms, kMaxDrainTimeoutMs)));
-          } else {
-            (void)stream_.drain_events(sid, evs);
-          }
-          send_events(evs);
-          send_stats(StatsAck::Drain, sid);
-          break;
-        }
-        case Cmd::Kind::Close: {
-          if (!attached) break;
-          (void)stream_.close(sid);  // waits for the drain + flush to land
-          evs.clear();
-          (void)stream_.drain_events(sid, evs);  // the flush tail
-          send_events(evs);
-          send_stats(StatsAck::Close, sid);
-          {
-            const common::MutexLock lock(reg_mu_);
-            auto it = registry_.find(token);
-            if (it != registry_.end() && it->second.st == TokenState::Attached &&
-                it->second.sid == sid) {
-              // Closed-but-unreleased: inspectable/evictable until an OPEN
-              // reuses the token or LRU admission reclaims the slot.
-              it->second.st = TokenState::ClosedKept;
-              it->second.lru_seq = ++lru_counter_;
-            }
-          }
-          attached = false;
-          break;
-        }
-        case Cmd::Kind::Reset: {
-          if (!attached) break;
-          const bool ok = stream_.reset(sid, cmd.warm
-                                                 ? pantompkins::WarmStart::KeepThresholds
-                                                 : pantompkins::WarmStart::Cold);
-          if (ok) {
-            idle = false;
-            send_stats(StatsAck::Reset, sid);
-          } else {
-            send_error(c, WireError::Refused, "RESET: session no longer exists");
-          }
-          break;
-        }
-        case Cmd::Kind::Park:
-          if (attached) {
-            pump_park(c, token, sid);
-            attached = false;
-          }
-          break;
-      }
-      continue;
-    }
-    // Attached and live: sleep in the stream layer until events arrive (the
-    // blocking drain — no spin-polling), then stream them out.
-    evs.clear();
-    if (stream_.drain_events(sid, evs, 20ms) > 0) {
-      send_events(evs);
-      continue;
-    }
-    // Timed out — or the session went terminal, which returns 0 immediately
-    // and would otherwise busy-spin this thread.
-    const auto st = stream_.session_stats(sid).state;
-    if (st == stream::SessionState::Closed || st == stream::SessionState::Faulted ||
-        st == stream::SessionState::Empty) {
-      idle = true;
-    }
+std::size_t NetServer::send_events(Conn& c) {
+  evs_.clear();
+  const std::size_t n = stream_.drain_events(c.sid, evs_);
+  for (std::size_t i = 0; i < n; i += kMaxEventsPerFrame) {
+    const std::size_t k = std::min(kMaxEventsPerFrame, n - i);
+    frame_.clear();
+    encode_events(frame_, std::span<const stream::Event>(evs_).subspan(i, k));
+    send_frame(c, frame_, k);
   }
-  c.pump_done.store(true, std::memory_order_release);
-  wake_loop();  // the reaper notices promptly
+  return n;
 }
 
-void NetServer::pump_park(Conn& c, u64 token, stream::SessionId sid) {
-  (void)c;
+void NetServer::finish_drain(Conn& c) {
+  c.drain_pending = false;
+  (void)send_events(c);
+  send_stats(c, StatsAck::Drain);
+}
+
+void NetServer::poll_drain(Conn& c) {
+  // The DRAIN ack waits for the first event, the session going terminal, or
+  // the (capped) deadline — whichever comes first.
+  const bool sent = send_events(c) > 0;
+  if (sent || std::chrono::steady_clock::now() >= c.drain_deadline ||
+      stream_.session_stats(c.sid).state != stream::SessionState::Open) {
+    finish_drain(c);
+  }
+}
+
+void NetServer::finish_close(Conn& c) {
+  // The state is read before the drain: events are appended before the
+  // landing is published, so once it has landed this drain takes the tail.
+  const bool landed = stream_.session_stats(c.sid).state != stream::SessionState::Draining;
+  (void)send_events(c);
+  if (!landed) return;
+  // The tail is out; the registry records the closed record, and only then
+  // is the ack queued: a client holding the ack can OPEN anywhere and find
+  // this slot evictable.
+  auto it = registry_.find(c.token);
+  if (it != registry_.end() && it->second.st == TokenState::Attached &&
+      it->second.sid == c.sid) {
+    // Closed-but-unreleased: inspectable/evictable until an OPEN reuses the
+    // token or LRU admission reclaims the slot.
+    it->second.st = TokenState::ClosedKept;
+    it->second.lru_seq = ++lru_counter_;
+  }
+  c.closing = false;
+  if (c.dead) return;  // the peer left mid-close: nobody to ack
+  send_stats(c, StatsAck::Close);  // still attached: the ack carries the final ledger
+  c.has_session = false;
+  park_reads(c, false);  // a following OPEN is read, and answered, after the ack
+}
+
+void NetServer::park(Conn& c) {
   // Disconnect -> warm park: the detector's trained thresholds survive for
   // the client's reconnect (OPEN with the same token resumes them).
-  const bool ok = stream_.reset(sid, pantompkins::WarmStart::KeepThresholds);
-  const common::MutexLock lock(reg_mu_);
-  auto it = registry_.find(token);
+  c.has_session = false;
+  const bool ok = stream_.reset(c.sid, pantompkins::WarmStart::KeepThresholds);
+  auto it = registry_.find(c.token);
   if (it == registry_.end() || it->second.st != TokenState::Attached ||
-      !(it->second.sid == sid)) {
+      !(it->second.sid == c.sid)) {
     return;
   }
   if (ok) {
@@ -480,23 +390,13 @@ void NetServer::pump_park(Conn& c, u64 token, stream::SessionId sid) {
 void NetServer::loop() {
   std::array<epoll_event, 64> events{};
   while (!stop_.load(std::memory_order_relaxed)) {
-    bool any_stalled = false;
-    for (const auto& [fd, c] : conns_) {
-      if (c->stalled) {
-        any_stalled = true;
-        break;
-      }
-    }
-    // A stalled connection retries its acquire on a millisecond tick; the
-    // graveyard is swept on a slower one; otherwise sleep long (every state
-    // change that matters also writes the eventfd).
-    const int timeout_ms = any_stalled ? 1 : (graveyard_.empty() ? 200 : 10);
     const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
+                               static_cast<int>(events.size()), wait_ms());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
+    bool egress_due = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const u32 flags = events[i].events;
@@ -504,46 +404,73 @@ void NetServer::loop() {
         accept_ready();
         continue;
       }
-      if (fd == wake_fd_) {
+      if (fd == wake_.fd) {
+        // Reset the counter before draining: a notifier firing after this
+        // read re-arms the eventfd, so no appended event is ever missed.
         u64 v = 0;
-        while (::read(wake_fd_, &v, sizeof v) > 0) {
+        while (::read(wake_.fd, &v, sizeof v) > 0) {
         }
+        egress_due = true;
         continue;
       }
       auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // killed earlier in this batch
+      if (it == conns_.end() || it->second->dead) continue;  // killed earlier in this batch
       Conn& c = *it->second;
       if ((flags & EPOLLIN) != 0) read_ready(c);
       if (!c.dead && (flags & EPOLLOUT) != 0) flush_out(c);
       if (!c.dead && (flags & (EPOLLHUP | EPOLLERR)) != 0) kill_conn(c, false);
     }
-    // Housekeeping sweep: pump-requested kills, pending egress, stall
-    // retries. Connection counts are small; the scan is cheaper than
-    // tracking dirtiness per wakeup source.
-    std::vector<Conn*> sweep;
-    sweep.reserve(conns_.size());
-    for (const auto& [fd, c] : conns_) sweep.push_back(c.get());
-    for (Conn* c : sweep) {
-      if (c->dead) continue;
-      if (c->kill_requested.load(std::memory_order_relaxed)) {
-        kill_conn(*c, true);
-        continue;
-      }
-      if (c->stalled) (void)try_start_chunk(*c);
-      if (!c->dead) flush_out(*c);
-    }
-    reap_graveyard(false);
+    service(egress_due);
   }
-  // Shutdown: every connection closes (sessions park warm) and every pump
-  // joins before the embedded StreamServer is torn down.
-  std::vector<Conn*> all;
-  all.reserve(conns_.size());
-  for (const auto& [fd, c] : conns_) all.push_back(c.get());
-  for (Conn* c : all) kill_conn(*c, false);
-  reap_graveyard(true);
-  // The fds are closed by stop() after this thread joins: wake_loop() may
-  // still be mid-write on another thread, and closing under it would race
-  // (worse, the fd number could be recycled).
+  // Shutdown: every connection closes (sessions park warm) before the
+  // embedded StreamServer is torn down.
+  for (auto& [fd, c] : conns_) {
+    kill_conn(*c, false);
+    ::close(fd);
+  }
+  conns_.clear();
+}
+
+int NetServer::wait_ms() const {
+  // A chunk at the high-water mark retries on a millisecond tick, a pending
+  // DRAIN wakes at its deadline; otherwise sleep until a socket or the
+  // eventfd (stream egress, stop()) has something.
+  auto next = std::chrono::steady_clock::time_point::max();
+  for (const auto& [fd, c] : conns_) {
+    if (c->stalled && !c->closing) return 1;
+    if (c->drain_pending) next = std::min(next, c->drain_deadline);
+  }
+  if (next == std::chrono::steady_clock::time_point::max()) return -1;
+  const auto now = std::chrono::steady_clock::now();
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(next - now);
+  return static_cast<int>(std::max<std::chrono::milliseconds::rep>(0, left.count()));
+}
+
+void NetServer::service(bool egress_due) {
+  // Connection counts are small; one pass over all of them is cheaper than
+  // tracking which session each notifier call was about.
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Conn& c = *it->second;
+    if (c.closing) {
+      finish_close(c);
+    } else if (!c.dead) {
+      if (c.stalled) (void)try_start_chunk(c);
+      if (!c.dead && c.has_session) {
+        if (c.drain_pending) {
+          poll_drain(c);
+        } else if (egress_due) {
+          (void)send_events(c);
+        }
+      }
+    }
+    if (!c.dead && !c.epoll_out) flush_out(c);
+    if (c.dead && !c.closing) {
+      ::close(c.fd);
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void NetServer::accept_ready() {
@@ -562,7 +489,6 @@ void NetServer::accept_ready() {
       ::close(fd);
       continue;
     }
-    c.pump = std::thread([this, &c] { pump_loop(c); });
     conns_.emplace(fd, std::move(conn));
     stats_->accepted.fetch_add(1, std::memory_order_relaxed);
   }
@@ -571,7 +497,7 @@ void NetServer::accept_ready() {
 void NetServer::update_epoll(Conn& c) {
   if (c.dead) return;
   epoll_event ev{};
-  ev.events = (c.epoll_in ? EPOLLIN : 0u) | (c.epoll_out ? EPOLLOUT : 0u);
+  ev.events = (c.stalled ? 0u : EPOLLIN) | (c.epoll_out ? EPOLLOUT : 0u);
   ev.data.fd = c.fd;
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
 }
@@ -653,7 +579,7 @@ void NetServer::read_ready(Conn& c) {
 }
 
 void NetServer::count_in(Conn& c, std::size_t n) {
-  c.n_bytes_in.fetch_add(n, std::memory_order_relaxed);
+  c.n_bytes_in += n;
   stats_->bytes_in.fetch_add(n, std::memory_order_relaxed);
 }
 
@@ -719,18 +645,10 @@ bool NetServer::try_start_chunk(Conn& c) {
     // High-water mark: park the connection (EPOLLIN off, so TCP backpressure
     // reaches the client) and retry on the loop's millisecond tick. Each
     // failed attempt counts in the session's rejected_chunks — documented.
-    if (!c.stalled) {
-      c.stalled = true;
-      c.epoll_in = false;
-      update_epoll(c);
-    }
+    park_reads(c, true);
     return true;
   }
-  if (c.stalled) {
-    c.stalled = false;
-    c.epoll_in = true;
-    update_epoll(c);
-  }
+  park_reads(c, false);
   if (r == stream::PushResult::Ok) {
     c.loan = std::move(loan);
     if (c.hdr.payload_len == 0) {
@@ -768,15 +686,16 @@ void NetServer::finish_chunk(Conn& c) {
   c.rx = Conn::Rx::Header;
 }
 
-void NetServer::push_cmd(Conn& c, Cmd cmd) {
-  {
-    const common::MutexLock lock(c.cmd_mu);
-    c.cmds.push_back(cmd);
-  }
-  c.cmd_cv.notify_all();
+void NetServer::park_reads(Conn& c, bool parked) {
+  if (c.stalled == parked) return;
+  c.stalled = parked;
+  update_epoll(c);
 }
 
 bool NetServer::handle_frame(Conn& c) {
+  // Replies go out in request order: a DRAIN still waiting for events is
+  // answered before whatever control frame follows it.
+  if (c.drain_pending) finish_drain(c);
   const std::span<const u8> p(c.payload);
   switch (c.hdr.type) {
     case FrameType::Hello: {
@@ -784,10 +703,7 @@ bool NetServer::handle_frame(Conn& c) {
       const WireError e = decode_hello(p, h);
       if (e != WireError::None) return protocol_fatal(c, e, "bad HELLO");
       c.hello_done = true;
-      std::vector<u8> buf;
-      encode_stats(buf, make_stats(c, StatsAck::Hello,
-                                   c.has_session ? c.sid : stream::SessionId{}));
-      send_frame(c, buf, 0);
+      send_stats(c, StatsAck::Hello);
       return true;
     }
     case FrameType::Open: {
@@ -808,10 +724,7 @@ bool NetServer::handle_frame(Conn& c) {
       c.has_session = true;
       c.token = f.token;
       c.sid = sid;
-      push_cmd(c, Cmd{Cmd::Kind::Attach, sid, f.token, 0, false});
-      std::vector<u8> buf;
-      encode_stats(buf, make_stats(c, ack, sid));
-      send_frame(c, buf, 0);
+      send_stats(c, ack);
       return true;
     }
     case FrameType::Drain: {
@@ -822,7 +735,10 @@ bool NetServer::handle_frame(Conn& c) {
         send_error(c, WireError::NoSession, "DRAIN without an open session");
         return true;
       }
-      push_cmd(c, Cmd{Cmd::Kind::Drain, c.sid, c.token, f.timeout_ms, false});
+      const std::chrono::milliseconds wait(std::min(f.timeout_ms, kMaxDrainTimeoutMs));
+      c.drain_pending = true;
+      c.drain_deadline = std::chrono::steady_clock::now() + wait;
+      poll_drain(c);  // a poll (timeout 0) is answered right here
       return true;
     }
     case FrameType::Close: {
@@ -831,10 +747,12 @@ bool NetServer::handle_frame(Conn& c) {
         send_error(c, WireError::NoSession, "CLOSE without an open session");
         return true;
       }
-      push_cmd(c, Cmd{Cmd::Kind::Close, c.sid, c.token, 0, false});
-      // The connection can OPEN a fresh session right away; the pump's
-      // command order keeps the records serialized.
-      c.has_session = false;
+      // Start the drain and park reads until it lands (finish_close, from
+      // the loop's service pass or right here if it already has).
+      c.closing = true;
+      park_reads(c, true);
+      stream_.begin_close(c.sid);
+      finish_close(c);
       return true;
     }
     case FrameType::Reset: {
@@ -845,7 +763,13 @@ bool NetServer::handle_frame(Conn& c) {
         send_error(c, WireError::NoSession, "RESET without an open session");
         return true;
       }
-      push_cmd(c, Cmd{Cmd::Kind::Reset, c.sid, c.token, 0, f.warm});
+      (void)send_events(c);  // what the abandoned episode finalized so far
+      if (stream_.reset(c.sid, f.warm ? pantompkins::WarmStart::KeepThresholds
+                                      : pantompkins::WarmStart::Cold)) {
+        send_stats(c, StatsAck::Reset);
+      } else {
+        send_error(c, WireError::Refused, "RESET: session no longer exists");
+      }
       return true;
     }
     default:
@@ -856,36 +780,32 @@ bool NetServer::handle_frame(Conn& c) {
 void NetServer::flush_out(Conn& c) {
   if (c.dead) return;
   bool failed = false;
-  bool want_write = false;
-  {
-    const common::MutexLock lock(c.out_mu);
-    while (c.out_off < c.out.size()) {
-      const ssize_t w = ::send(c.fd, c.out.data() + c.out_off,
-                               c.out.size() - c.out_off, MSG_NOSIGNAL);
-      if (w > 0) {
-        c.out_off += static_cast<std::size_t>(w);
-        c.n_bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
-        stats_->bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
-        continue;
-      }
-      if (w < 0 && errno == EINTR) continue;
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      failed = true;
-      break;
+  while (c.out_off < c.out.size()) {
+    const ssize_t w =
+        ::send(c.fd, c.out.data() + c.out_off, c.out.size() - c.out_off, MSG_NOSIGNAL);
+    if (w > 0) {
+      c.out_off += static_cast<std::size_t>(w);
+      c.n_bytes_out += static_cast<u64>(w);
+      stats_->bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
+      continue;
     }
-    if (c.out_off == c.out.size()) {
-      c.out.clear();
-      c.out_off = 0;
-    } else if (c.out_off > (1u << 16)) {
-      c.out.erase(c.out.begin(), c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off));
-      c.out_off = 0;
-    }
-    want_write = c.out_off < c.out.size();
+    if (w < 0 && errno == EINTR) continue;
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    failed = true;
+    break;
+  }
+  if (c.out_off == c.out.size()) {
+    c.out.clear();
+    c.out_off = 0;
+  } else if (c.out_off > (1u << 16)) {
+    c.out.erase(c.out.begin(), c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off));
+    c.out_off = 0;
   }
   if (failed) {
     kill_conn(c, false);
     return;
   }
+  const bool want_write = c.out_off < c.out.size();
   if (want_write != c.epoll_out) {
     c.epoll_out = want_write;
     update_epoll(c);
@@ -893,53 +813,21 @@ void NetServer::flush_out(Conn& c) {
 }
 
 void NetServer::kill_conn(Conn& c, bool flush_first) {
+  // Best-effort: push the pending bytes (typically the fatal ERROR reply)
+  // out before the reset, so the peer learns why it was dropped. A failed
+  // send kills the connection from inside flush_out.
+  if (flush_first) flush_out(c);
   if (c.dead) return;
   c.dead = true;
-  if (flush_first) {
-    // Best-effort: push the pending bytes (typically the fatal ERROR reply)
-    // out before the reset, so the peer learns why it was dropped.
-    const common::MutexLock lock(c.out_mu);
-    while (c.out_off < c.out.size()) {
-      const ssize_t w = ::send(c.fd, c.out.data() + c.out_off,
-                               c.out.size() - c.out_off, MSG_NOSIGNAL);
-      if (w <= 0) break;
-      c.out_off += static_cast<std::size_t>(w);
-      stats_->bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
-    }
-  }
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
   (void)::shutdown(c.fd, SHUT_RDWR);
   c.stalled = false;
-  // An armed loan dies with the Conn (destructor = abandon: the reserved
-  // queue slot returns). Tell the pump to park the session and exit.
-  {
-    const common::MutexLock lock(c.cmd_mu);
-    if (c.has_session) {
-      c.cmds.push_back(Cmd{Cmd::Kind::Park, c.sid, c.token, 0, false});
-    }
-    c.pump_stop.store(true, std::memory_order_relaxed);
-  }
-  c.cmd_cv.notify_all();
-  c.has_session = false;
+  c.drain_pending = false;
+  c.loan = stream::ChunkLoan{};  // abandon: the reserved queue slot returns
+  // A session mid-CLOSE keeps draining; the loop reaps this connection once
+  // it lands (finish_close). Any other session parks warm right here.
+  if (c.has_session && !c.closing) park(c);
   stats_->closed.fetch_add(1, std::memory_order_relaxed);
-  auto it = conns_.find(c.fd);
-  if (it != conns_.end()) {
-    graveyard_.push_back(std::move(it->second));
-    conns_.erase(it);
-  }
-}
-
-void NetServer::reap_graveyard(bool wait_all) {
-  for (auto it = graveyard_.begin(); it != graveyard_.end();) {
-    Conn& c = **it;
-    if (wait_all || c.pump_done.load(std::memory_order_acquire)) {
-      if (c.pump.joinable()) c.pump.join();
-      ::close(c.fd);
-      it = graveyard_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace xbs::net

@@ -73,7 +73,7 @@ struct PipelineResult {
 /// each non-zero FIR tap, and (for the squarer) the square table — so
 /// subsequent kernels walk warm tables at any chunk size. Streaming serving
 /// layers call this outside their timed/latency-sensitive regions
-/// (stream::SessionPool warms every stage of its spec before the first
+/// (stream::StreamServer::open warms every stage of its spec before the
 /// session is built), making the cold-build block-size threshold inside the
 /// kernels moot for streaming. The warmed tables are the layout every
 /// dispatched kernel tier walks — 64-byte-aligned i64 rows serve the scalar

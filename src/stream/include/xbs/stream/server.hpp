@@ -32,38 +32,37 @@
 /// outlive the server. A session's chunk order is its commit order — one
 /// producer thread per session (the Session contract) keeps it meaningful.
 ///
-/// Event egress happens two ways. SessionSpec::sink remains the push-model:
-/// invoked on worker threads, shared sinks must synchronize internally. With
-/// Options::event_queue_capacity > 0 the server additionally retains each
-/// session's finalized events in a per-session bounded queue that
-/// single-threaded consumers poll with drain_events(id) — no locking
-/// discipline needed, at the cost of the bound: when a consumer lags more
-/// than the capacity, the oldest undrained events are dropped (counted in
+/// Event egress is pull-only: the server retains each session's finalized
+/// events in a per-session bounded queue that consumers poll with
+/// drain_events(id) — no locking discipline needed, at the cost of the
+/// bound: when a consumer lags more than Options::event_queue_capacity, the
+/// oldest undrained events are dropped (counted in
 /// SessionStats::events_dropped). reset() discards undrained events of the
 /// abandoned episode the same way. On a fault, the egress queue holds the
-/// events of fully processed chunks; a sink may additionally have observed
-/// part of the chunk that faulted.
+/// events of fully processed chunks. A consumer that sleeps instead of
+/// polling passes an EgressNotifier at construction: it fires when events
+/// or a Closed/Faulted landing become drainable (see EgressNotifier).
 ///
 /// Lifecycle: open() provisions a slot (re-using released ones),
-/// close() drains + flushes, reset() re-arms a slot mid-flight for a fresh
-/// record (dropping whatever was queued; optionally warm-starting the
-/// detector — see pantompkins::WarmStart), release() hands the quiescent
+/// close() drains + flushes (begin_close() is its non-blocking first half),
+/// reset() re-arms a slot mid-flight for a fresh record (dropping whatever
+/// was queued; optionally warm-starting the detector — see
+/// pantompkins::WarmStart), release() hands the quiescent
 /// Session object back and frees the slot for the next tenant. Ids carry a
 /// provisioning generation, so a stale id held across release()/open()
 /// addresses nothing instead of the slot's new tenant.
 ///
 /// Accounting contract (the "clean ledger"): all SessionStats counters are
-/// cumulative over the slot's provisioning generation — open()/adopt()
-/// zeroes them, reset() carries them (and increments `resets`). chunks_in
-/// counts chunks accepted into the queue; rejected_chunks counts ingest
-/// refusals that never entered it (try_push at the high-water mark, protocol
-/// violations); dropped_chunks counts accepted chunks discarded before
-/// processing (fault/reset queue drops). Whenever a slot is quiescent (no
-/// worker mid-batch): chunks_in == chunks_processed + queued_chunks +
+/// cumulative over the slot's provisioning generation — open() zeroes them,
+/// reset() carries them (and increments `resets`). chunks_in counts chunks
+/// accepted into the queue; rejected_chunks counts ingest refusals that
+/// never entered it (try_push at the high-water mark, protocol violations);
+/// dropped_chunks counts accepted chunks discarded before processing
+/// (fault/reset queue drops). Whenever a slot is quiescent (no worker
+/// mid-batch): chunks_in == chunks_processed + queued_chunks +
 /// dropped_chunks.
 ///
-/// Error isolation: anything a session throws inside a worker — a throwing
-/// user sink, a push on an adopted already-flushed session — and any
+/// Error isolation: anything a session throws inside a worker and any
 /// protocol violation detected at ingest (a chunk over max_chunk_samples)
 /// quarantines *that* session: state becomes Faulted, the error text is
 /// captured in its stats, its queue is dropped, and pushes are refused until
@@ -81,9 +80,9 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -192,12 +191,21 @@ class StreamServer {
     /// onto shards by id; results are bit-identical for any shard count.
     unsigned shards = 0;
 
-    /// Per-session bound on the pull-egress event queue (0 = pull egress
-    /// disabled; events reach sinks only). When a drain_events() consumer
-    /// lags by more than this many events, the oldest undrained ones are
-    /// dropped and counted in SessionStats::events_dropped.
-    std::size_t event_queue_capacity = 0;
+    /// Per-session bound on the egress event queue (must be > 0). When a
+    /// drain_events() consumer lags by more than this many events, the
+    /// oldest undrained ones are dropped and counted in
+    /// SessionStats::events_dropped.
+    std::size_t event_queue_capacity = 1024;
   };
+
+  /// Egress readiness callback, fixed at construction. It fires at most once
+  /// per worker batch that appended events and once per Closed/Faulted
+  /// landing, always after the state it announces is visible to
+  /// drain_events()/session_stats(), and never with a shard lock held. It
+  /// runs on worker threads (and on the caller of an ingest call that
+  /// faults its session), so it must take no lock and never block — the
+  /// network front door's notifier writes one eventfd.
+  using EgressNotifier = std::function<void()>;
 
   /// Per-session live statistics (a consistent snapshot; cumulative over the
   /// slot's provisioning generation — see the accounting contract above).
@@ -217,7 +225,7 @@ class StreamServer {
     u64 samples = 0;           ///< samples processed
     u64 events = 0;            ///< detector decisions delivered
     u64 beats = 0;             ///< accepted QRS events
-    u64 events_queued = 0;     ///< pull-egress events awaiting drain_events()
+    u64 events_queued = 0;     ///< egress events awaiting drain_events()
     u64 events_dropped = 0;    ///< egress events lost to the bound (or reset)
     std::string error;         ///< why the session faulted (empty otherwise)
   };
@@ -229,7 +237,7 @@ class StreamServer {
     u64 open = 0;      ///< slots currently Open or Draining
     u64 closed = 0;    ///< slots currently Closed (awaiting release)
     u64 faulted = 0;   ///< slots currently quarantined
-    /// Lifetime open()/adopt() count. Counts admissions, not completions:
+    /// Lifetime open() count. Counts admissions, not completions:
     /// an open() that passed admission but then failed slot allocation
     /// (OOM) is included — the value is the generation counter, which must
     /// never run backwards or stale ids could alias a later session.
@@ -247,7 +255,7 @@ class StreamServer {
   };
 
   StreamServer();  ///< default Options (a nested-class NSDMI cannot be a default argument)
-  explicit StreamServer(Options opts);
+  explicit StreamServer(Options opts, EgressNotifier notify = {});
   ~StreamServer();
 
   StreamServer(const StreamServer&) = delete;
@@ -258,12 +266,6 @@ class StreamServer {
   /// max_sessions ceiling and propagates Session construction failures
   /// (e.g. invalid DetectorParams) without consuming a slot.
   SessionId open(SessionSpec spec);
-
-  /// Provision a slot with an existing Session (the SessionPool
-  /// compatibility path). The server takes ownership; the session's
-  /// accumulated state is kept as-is (an already-flushed adoptee will fault
-  /// on its first pushed chunk — that is the push-after-flush quarantine).
-  SessionId adopt(std::unique_ptr<Session> session);
 
   /// Borrow a chunk buffer of \p n_samples from the session's ring, blocking
   /// while the queue (plus outstanding loans) sits at the high-water mark.
@@ -297,27 +299,24 @@ class StreamServer {
   /// or is released while waiting — including while already blocked.
   PushResult push(SessionId id, std::span<const i32> chunk);
 
-  /// Drain the session's pull-egress queue (Options::event_queue_capacity
-  /// must be > 0): appends every undrained finalized event to \p out in
-  /// delivery order and returns how many were appended. Non-blocking; safe
-  /// from any thread, though a single consumer per session is the intended
-  /// shape. Works on Closed/Faulted sessions too (the tail of a drained
-  /// record stays drainable until reset()/release()). 0 for a stale id.
+  /// Drain the session's egress queue: appends every undrained finalized
+  /// event to \p out in delivery order and returns how many were appended.
+  /// Non-blocking; safe from any thread, though a single consumer per
+  /// session is the intended shape. Works on Closed/Faulted sessions too
+  /// (the tail of a drained record stays drainable until reset()/release()).
+  /// 0 for a stale id.
   std::size_t drain_events(SessionId id, std::vector<Event>& out);
 
-  /// Blocking drain: sleeps until at least one event is available (then
-  /// drains everything queued at that instant), the session reaches a state
-  /// that can produce no more events (Closed/Faulted with an empty queue,
-  /// released, server shutdown), or \p timeout expires — whichever comes
-  /// first. Returns how many events were appended (0 on timeout/terminal).
-  /// This is what sleeping consumers — and the network egress path — use
-  /// instead of spin-polling the non-blocking overload.
-  std::size_t drain_events(SessionId id, std::vector<Event>& out,
-                           std::chrono::milliseconds timeout);
+  /// Non-blocking end-of-stream request: stops admitting pushes and hands
+  /// the session to a worker, which drains the queue and flushes it. The
+  /// state reads Draining until the landing (Closed, or Faulted if the tail
+  /// faulted), which fires the notifier. No-op unless the session is Open.
+  /// Wakes any producer blocked in push()/acquire_buffer.
+  void begin_close(SessionId id);
 
-  /// Graceful end-of-stream: stops admitting pushes, lets the queue drain,
-  /// flushes the session, and waits for that to finish. Returns the final
-  /// state (Closed, or Faulted if the tail faulted; Empty for a stale id).
+  /// Graceful end-of-stream: begin_close(), then wait for the landing.
+  /// Returns the final state (Closed, or Faulted if the tail faulted; Empty
+  /// for a stale id).
   /// Safe to call twice. Wakes any producer blocked in push()/acquire_buffer.
   /// A reset() racing this call may re-arm the slot the instant the drain
   /// lands; close() still returns the state that drain reached (it observes
@@ -384,15 +383,14 @@ class StreamServer {
     u64 samples = 0;
     u64 events = 0;
     u64 beats = 0;
-    std::deque<Event> egress;  ///< pull-model event queue (bounded)
+    std::deque<Event> egress;  ///< undrained events (bounded by event_queue_capacity)
     u64 events_dropped = 0;
     std::string error;
   };
 
   /// One independent slot group: its own lock, cvs, ready list and workers.
-  /// `mu` has rank kShard: acquired after a net-conn lock (the front door
-  /// calls open()/reset() under its registry lock), before any table-cache
-  /// lock (Session::reset may rebuild LUTs under it).
+  /// `mu` has rank kShard: acquired before any table-cache lock
+  /// (Session::reset may rebuild LUTs under it).
   ///
   /// Slot *contents* are guarded by `mu` too, but `GUARDED_BY` cannot name a
   /// mutex living in a different struct — the `XBS_REQUIRES(sh.mu)` on every
@@ -402,14 +400,12 @@ class StreamServer {
     common::CondVar work_cv;    ///< workers: ready list / stop / resume
     common::CondVar space_cv;   ///< blocking acquire: queue space / state change
     common::CondVar state_cv;   ///< close/reset/release: state changes
-    common::CondVar egress_cv;  ///< blocking drain_events: events / state
     std::vector<Slot> slots XBS_GUARDED_BY(mu);
     std::deque<std::size_t> ready XBS_GUARDED_BY(mu);  ///< local slot indices with runnable work
     u64 ready_seq XBS_GUARDED_BY(mu) = 0;              ///< monotonic ready_stamp source
     bool stop XBS_GUARDED_BY(mu) = false;
     bool paused XBS_GUARDED_BY(mu) = false;
-    int space_waiters XBS_GUARDED_BY(mu) = 0;   ///< gates space_cv notifies off the hot path
-    int egress_waiters XBS_GUARDED_BY(mu) = 0;  ///< gates egress_cv notifies off the hot path
+    int space_waiters XBS_GUARDED_BY(mu) = 0;  ///< gates space_cv notifies off the hot path
     /// Currently provisioned (non-Empty) slots on this shard: the
     /// least-loaded placement signal read lock-free at open(). A hint, not
     /// an invariant — a stale read just places one session suboptimally.
@@ -439,11 +435,12 @@ class StreamServer {
   Slot* find(Shard& sh, SessionId id) XBS_REQUIRES(sh.mu);
   const Slot* find(Shard& sh, SessionId id) const XBS_REQUIRES(sh.mu);
   SessionId provision(std::unique_ptr<Session> session);
+  void start_drain(Shard& sh, Slot& s, std::size_t local) XBS_REQUIRES(sh.mu);
   PushResult refuse_reason(const Slot& s) const;  // reads one Slot: caller holds its shard's mu
   void enqueue_ready(Shard& sh, std::size_t local) XBS_REQUIRES(sh.mu);
   void drop_queue(Shard& sh, Slot& s) XBS_REQUIRES(sh.mu);
   void fault(Shard& sh, Slot& s, std::string why) XBS_REQUIRES(sh.mu);
-  void append_egress(Shard& sh, Slot& s, std::vector<Event>& evs) XBS_REQUIRES(sh.mu);
+  bool append_egress(Slot& s, std::vector<Event>& evs) const;  // caller holds its shard's mu
   PushResult acquire_impl(SessionId id, std::size_t n_samples, ChunkLoan& out, bool blocking);
   void cancel_loan(SessionId id, std::vector<i32>&& buf) noexcept;
   void worker_loop(Shard& sh);
@@ -453,6 +450,7 @@ class StreamServer {
   void drain_slot(Shard& sh, common::MutexLock& lock, std::size_t local) XBS_REQUIRES(sh.mu);
 
   Options opts_;
+  EgressNotifier notify_;
   unsigned n_workers_ = 0;
   unsigned n_shards_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -6,7 +6,7 @@
 /// beat/arrhythmia events online — they cannot hold a whole recording before
 /// anything happens. A Session is one long-lived monitored stream: it is
 /// built from a declarative SessionSpec (pipeline arithmetic configuration +
-/// detector parameters + retention/sink options), accepts arbitrarily sized
+/// detector parameters + retention options), accepts arbitrarily sized
 /// sample chunks via push(), and returns the QRS decisions those samples
 /// finalized. Internally it owns one kernel and one resumable StageProcessor
 /// per pipeline stage (explicit carry-over state) plus an OnlineDetector, so
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -40,9 +39,8 @@ struct Event {
   }
 };
 
-/// Declarative description of a session: what to compute, what to retain,
-/// where to deliver events. Copyable — a SessionPool stamps N sessions out
-/// of one spec.
+/// Declarative description of a session: what to compute and what to
+/// retain. Copyable — one spec can stamp out any number of sessions.
 struct SessionSpec {
   /// Per-stage arithmetic + detector constants (as for the batch pipeline).
   pantompkins::PipelineConfig config{};
@@ -58,14 +56,6 @@ struct SessionSpec {
   /// Retain every per-stage output signal (batch parity / debugging; grows
   /// with the stream).
   bool keep_signals = false;
-
-  /// Optional push-time event sink, invoked for every finalized decision (in
-  /// addition to the events returned by push/flush). Called on whichever
-  /// thread drives the session — under a StreamServer/SessionPool that is a
-  /// worker thread, and a sink sharing state across sessions must
-  /// synchronize internally (see server.hpp and README "Serving"). A sink
-  /// that throws quarantines its session when driven by the server.
-  std::function<void(const Event&)> sink;
 };
 
 /// A stateful streaming session over the five-stage pipeline + detector.
@@ -80,7 +70,7 @@ struct SessionSpec {
 ///
 /// Sessions are single-consumer objects (one stream each); many sessions run
 /// concurrently on different threads, sharing only the immutable process-wide
-/// multiplier/coefficient LUTs (see SessionPool).
+/// multiplier/coefficient LUTs (see arith::warm_tables).
 class Session {
  public:
   explicit Session(SessionSpec spec);

@@ -52,12 +52,16 @@ ChunkLoan::~ChunkLoan() {
 
 StreamServer::StreamServer() : StreamServer(Options{}) {}
 
-StreamServer::StreamServer(Options opts) : opts_(opts) {
+StreamServer::StreamServer(Options opts, EgressNotifier notify)
+    : opts_(opts), notify_(std::move(notify)) {
   if (opts_.max_sessions == 0) {
     throw std::invalid_argument("StreamServer: max_sessions == 0");
   }
   if (opts_.queue_capacity_chunks == 0) {
     throw std::invalid_argument("StreamServer: queue_capacity_chunks == 0");
+  }
+  if (opts_.event_queue_capacity == 0) {
+    throw std::invalid_argument("StreamServer: event_queue_capacity == 0");
   }
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
@@ -93,7 +97,6 @@ StreamServer::~StreamServer() {
     shp->work_cv.notify_all();
     shp->space_cv.notify_all();
     shp->state_cv.notify_all();
-    shp->egress_cv.notify_all();
   }
   for (auto& shp : shards_) {
     for (std::thread& t : shp->threads) t.join();
@@ -226,19 +229,26 @@ void StreamServer::fault(Shard& sh, Slot& s, std::string why) {
   s.final_state = SessionState::Faulted;
   drop_queue(sh, s);  // also wakes blocked producers: they surface Faulted
   sh.state_cv.notify_all();
-  // Terminal state: a blocking drain_events must wake and observe it.
-  if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
 }
 
-void StreamServer::append_egress(Shard& sh, Slot& s, std::vector<Event>& evs) {
-  if (opts_.event_queue_capacity == 0 || evs.empty()) return;
+bool StreamServer::append_egress(Slot& s, std::vector<Event>& evs) const {
+  if (evs.empty()) return false;
   for (Event& e : evs) s.egress.push_back(std::move(e));
   while (s.egress.size() > opts_.event_queue_capacity) {
     s.egress.pop_front();  // the consumer lags: shed oldest-first, keep counting
     ++s.events_dropped;
   }
   evs.clear();
-  if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
+  return true;
+}
+
+void StreamServer::start_drain(Shard& sh, Slot& s, std::size_t local) {
+  if (s.state != SessionState::Open) return;
+  s.state = SessionState::Draining;
+  enqueue_ready(sh, local);  // even on an empty queue: a worker flushes
+  // Producers blocked at the high-water mark must not wait out the drain:
+  // wake them now so they surface Closed immediately.
+  if (sh.space_waiters > 0) sh.space_cv.notify_all();
 }
 
 // ------------------------------------------------------------------- workers
@@ -279,18 +289,21 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
   // regression), and a blocked producer wakes once to refill a whole queue.
   std::vector<std::vector<i32>> batch;
   std::vector<Event> evbuf;
-  const bool egress_on = opts_.event_queue_capacity > 0;
+  // Set when a published batch appended events or the slot landed; the
+  // notifier then fires at the next unlock — once per batch, never under
+  // the shard lock.
+  bool announce = false;
+  auto notify_unlocked = [&] {
+    if (announce && notify_) notify_();
+    announce = false;
+  };
+  bool requeue = false;
   while (true) {
     Slot& s = sh.slots[local];  // re-fetch: slots may have grown while unlocked
     if (sh.stop || sh.paused) {
       // Hand the remainder back to the ready list so resume() (or another
       // worker) picks it up; nothing is lost.
-      if (s.state == SessionState::Open || s.state == SessionState::Draining) {
-        s.busy = false;
-        enqueue_ready(sh, local);
-        sh.state_cv.notify_all();
-        return;
-      }
+      requeue = s.state == SessionState::Open || s.state == SessionState::Draining;
       break;
     }
     if (s.state != SessionState::Open && s.state != SessionState::Draining) break;
@@ -299,6 +312,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
       // close() requested and the queue is dry: flush outside the lock.
       Session* sess = s.session.get();
       lock.unlock();
+      notify_unlocked();
       std::string err;
       u64 events = 0, beats = 0;
       evbuf.clear();
@@ -306,7 +320,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
         for (const Event& ev : sess->flush()) {
           ++events;
           beats += ev.is_beat() ? 1 : 0;
-          if (egress_on) evbuf.push_back(ev);
+          evbuf.push_back(ev);
         }
       } catch (const std::exception& e) {
         err = e.what();
@@ -317,18 +331,16 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
       Slot& sl = sh.slots[local];
       sl.events += events;
       sl.beats += beats;
-      append_egress(sh, sl, evbuf);
+      (void)append_egress(sl, evbuf);
       if (!err.empty()) {
         fault(sh, sl, std::move(err));
       } else {
         sl.state = SessionState::Closed;
         ++sl.final_seq;  // the edge a racing reset() cannot erase
         sl.final_state = SessionState::Closed;
-        sh.state_cv.notify_all();
         if (sh.space_waiters > 0) sh.space_cv.notify_all();
-        // Closed + dry queue can produce no more events: wake blocked drains.
-        if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
       }
+      announce = true;  // the landing, and the flush tail with it
       break;
     }
     batch.clear();
@@ -346,6 +358,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
     s.inflight = batch.size();
     Session* sess = s.session.get();
     lock.unlock();
+    notify_unlocked();
     std::string err;
     u64 events = 0, beats = 0, samples = 0;
     std::size_t done = 0;
@@ -355,7 +368,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
         for (const Event& ev : sess->push(batch[done])) {
           ++events;
           beats += ev.is_beat() ? 1 : 0;
-          if (egress_on) evbuf.push_back(ev);
+          evbuf.push_back(ev);
         }
       } catch (const std::exception& e) {
         err = e.what();
@@ -377,12 +390,13 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
     sl.samples += samples;
     sl.events += events;
     sl.beats += beats;
-    append_egress(sh, sl, evbuf);
+    announce = append_egress(sl, evbuf);
     if (!err.empty()) {
       // The chunk that threw (and anything behind it in the batch) was
       // accepted but never fully processed: dropped, so the ledger closes.
       sl.dropped_chunks += not_processed;
       fault(sh, sl, std::move(err));
+      announce = true;
       break;
     }
     // Fairness yield: a deep session must not hold this worker for its whole
@@ -391,14 +405,18 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
     // to the pop loop instead of taking another batch.
     if (!sh.ready.empty() && !sl.queue.empty() &&
         (sl.state == SessionState::Open || sl.state == SessionState::Draining)) {
-      sl.busy = false;
-      enqueue_ready(sh, local);
-      sh.state_cv.notify_all();
-      return;
+      requeue = true;
+      break;
     }
   }
   sh.slots[local].busy = false;
+  if (requeue) enqueue_ready(sh, local);
   sh.state_cv.notify_all();
+  if (announce && notify_) {
+    lock.unlock();
+    notify_unlocked();
+    lock.lock();
+  }
 }
 
 // --------------------------------------------------------------- public API
@@ -411,11 +429,6 @@ SessionId StreamServer::open(SessionSpec spec) {
   return provision(std::move(session));
 }
 
-SessionId StreamServer::adopt(std::unique_ptr<Session> session) {
-  if (!session) throw std::invalid_argument("StreamServer::adopt: null session");
-  return provision(std::move(session));
-}
-
 PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, ChunkLoan& out,
                                       bool blocking) {
   const bool oversize =
@@ -423,6 +436,7 @@ PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, Chunk
   Shard& sh = shard_of(id);
   std::vector<i32> buf;
   u64 epoch = 0;
+  bool faulted = false;
   {
     common::MutexLock lock(sh.mu);
     while (true) {
@@ -436,7 +450,8 @@ PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, Chunk
               "protocol violation: chunk of " + std::to_string(n_samples) +
                   " samples exceeds max_chunk_samples = " +
                   std::to_string(opts_.max_chunk_samples));
-        return PushResult::Faulted;
+        faulted = true;
+        break;
       }
       if (s->queue.size() + s->loaned + s->inflight < opts_.queue_capacity_chunks) {
         (void)s->ring.take(buf);  // recycled when available, fresh otherwise
@@ -452,6 +467,10 @@ PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, Chunk
       sh.space_cv.wait(lock);
       --sh.space_waiters;
     }
+  }
+  if (faulted) {
+    if (notify_) notify_();  // a Faulted landing, announced off the lock
+    return PushResult::Faulted;
   }
   // The (possible) allocation and the loan handoff stay off the shard lock.
   // The loan handle is armed *before* the resize: if the resize throws
@@ -554,34 +573,11 @@ std::size_t StreamServer::drain_events(SessionId id, std::vector<Event>& out) {
   return n;
 }
 
-std::size_t StreamServer::drain_events(SessionId id, std::vector<Event>& out,
-                                       std::chrono::milliseconds timeout) {
-  if (opts_.event_queue_capacity == 0) return 0;  // egress disabled: never waits
+void StreamServer::begin_close(SessionId id) {
   Shard& sh = shard_of(id);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  common::MutexLock lock(sh.mu);
-  while (true) {
-    if (sh.stop) return 0;
-    Slot* s = find(sh, id);
-    if (s == nullptr) return 0;  // released/stale: nothing will ever arrive
-    if (!s->egress.empty()) {
-      const std::size_t n = s->egress.size();
-      out.insert(out.end(), std::make_move_iterator(s->egress.begin()),
-                 std::make_move_iterator(s->egress.end()));
-      s->egress.clear();
-      return n;
-    }
-    // Terminal with a dry queue: no worker will ever append again (a reset()
-    // re-arms the slot and wakes this waiter, which then just keeps waiting
-    // on the fresh episode).
-    if (s->state == SessionState::Closed || s->state == SessionState::Faulted) {
-      return 0;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return 0;
-    ++sh.egress_waiters;
-    sh.egress_cv.wait_until(lock, deadline);
-    --sh.egress_waiters;
-  }
+  const common::MutexLock lock(sh.mu);
+  Slot* s = find(sh, id);
+  if (s != nullptr) start_drain(sh, *s, local_index(id));
 }
 
 SessionState StreamServer::close(SessionId id) {
@@ -592,13 +588,7 @@ SessionState StreamServer::close(SessionId id) {
     Slot* s = find(sh, id);
     if (s == nullptr) return SessionState::Empty;
     seq0 = s->final_seq;
-    if (s->state == SessionState::Open) {
-      s->state = SessionState::Draining;
-      enqueue_ready(sh, local_index(id));  // even on an empty queue: a worker flushes
-      // Producers blocked at the high-water mark must not wait out the drain:
-      // wake them now so they surface Closed immediately.
-      if (sh.space_waiters > 0) sh.space_cv.notify_all();
-    }
+    start_drain(sh, *s, local_index(id));
   }
   while (true) {
     if (sh.stop) return SessionState::Empty;
@@ -642,8 +632,6 @@ bool StreamServer::reset(SessionId id, pantompkins::WarmStart warm) {
     s->error.clear();
     sh.state_cv.notify_all();
     if (sh.space_waiters > 0) sh.space_cv.notify_all();
-    // Blocked drains re-evaluate: the episode they were waiting on is gone.
-    if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
     return true;
   }
 }
@@ -655,14 +643,10 @@ std::unique_ptr<Session> StreamServer::release(SessionId id) {
     if (sh.stop) return nullptr;
     Slot* s = find(sh, id);
     if (s == nullptr) return nullptr;
-    if (s->state == SessionState::Open) {
-      // First iteration, or a racing reset() re-armed the slot while we
-      // waited. Retirement is final: (re-)issue the drain so release()
-      // always makes progress, and wake blocked producers as in close().
-      s->state = SessionState::Draining;
-      enqueue_ready(sh, local_index(id));
-      if (sh.space_waiters > 0) sh.space_cv.notify_all();
-    }
+    // First iteration, or a racing reset() re-armed the slot while we
+    // waited. Retirement is final: (re-)issue the drain so release() always
+    // makes progress.
+    start_drain(sh, *s, local_index(id));
     if ((s->state == SessionState::Closed || s->state == SessionState::Faulted) &&
         !s->busy) {
       // Undrained egress events die with the slot: counted, as everywhere
@@ -696,9 +680,6 @@ std::unique_ptr<Session> StreamServer::release(SessionId id) {
       sh.state_cv.notify_all();
       if (sh.space_waiters > 0) {
         sh.space_cv.notify_all();  // blocked pushers wake to NoSuchSession
-      }
-      if (sh.egress_waiters > 0) {
-        sh.egress_cv.notify_all();  // blocked drains wake to "session gone"
       }
       return out;
     }

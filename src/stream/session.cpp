@@ -39,7 +39,6 @@ void Session::deliver(std::span<const pantompkins::PeakEvent> evs) {
       ev.time_s = static_cast<double>(pe.mwi_index) / fs;
     }
     ++events_;
-    if (spec_.sink) spec_.sink(ev);
     fresh_.push_back(ev);
   }
 }

@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -666,6 +668,63 @@ TEST(NetHostile, OversizeChunkClosesConnectionWithoutFaultingSession) {
   const auto ack = cli2.open(f, /*busy_retry_for=*/2s);
   EXPECT_EQ(ack.ack, StatsAck::Resumed);
   EXPECT_EQ(server.stream().stats().faulted, 0u);
+}
+
+TEST(NetHostile, CloseAckedThenOpenOnAnotherConnectionAtTheCeiling) {
+  // The CLOSE ack promises the record is closed server-side: a client that
+  // holds it and OPENs on another connection at the max_sessions ceiling
+  // must find that record evictable, never a spurious SessionLimit. Each
+  // iteration is one close-then-open handoff in each direction.
+  stream::StreamServer::Options so;
+  so.max_sessions = 1;
+  NetServer::Options no;
+  no.stream = so;
+  NetServer server(no);
+
+  NetClient a;
+  NetClient b;
+  a.connect("127.0.0.1", server.port());
+  b.connect("127.0.0.1", server.port());
+  u64 token = 1;
+  for (int it = 0; it < 200; ++it) {
+    for (NetClient* const cli : {&a, &b}) {
+      OpenFrame f;
+      f.token = token++;
+      StatsFrame ack;
+      try {
+        ack = cli->open(f);
+      } catch (const RemoteError& e) {
+        FAIL() << "iteration " << it << ": OPEN refused with " << to_string(e.code());
+      }
+      ASSERT_EQ(ack.ack, StatsAck::Open) << "iteration " << it;
+      cli->send_chunk(std::vector<i32>(64, 0));
+      ASSERT_EQ(cli->close_session().session_state,
+                static_cast<u8>(stream::SessionState::Closed))
+          << "iteration " << it;
+    }
+  }
+  // Every OPEN but the first evicted the record the previous CLOSE acked.
+  EXPECT_EQ(server.stats().sessions_evicted, 2u * 200u - 1u);
+}
+
+// ------------------------------------------------------------ threading
+
+std::ptrdiff_t thread_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(NetServer, ThreadCountIndependentOfConnections) {
+  // The front door runs one event-loop thread whatever the connection
+  // count: idle wearables cost sockets and buffers, not threads.
+  NetServer server(NetServer::Options{});
+  NetClient warmup;
+  warmup.connect("127.0.0.1", server.port());  // HELLO acked: the loop is up
+  const std::ptrdiff_t before = thread_count();
+  std::vector<NetClient> clients(32);
+  for (NetClient& cli : clients) cli.connect("127.0.0.1", server.port());
+  EXPECT_EQ(server.stats().connections_accepted, 33u);
+  EXPECT_EQ(thread_count(), before);
 }
 
 // ------------------------------------------------------- corruption fuzzing

@@ -66,15 +66,17 @@ StreamServer::Options server_opts(unsigned shards) {
   return opts;
 }
 
-/// Finish a drive: close, snapshot the identity-relevant state, release.
-DriveResult finish(StreamServer& server, SessionId id, std::vector<Event>&& events) {
+/// Finish a drive: close, drain, snapshot the identity-relevant state,
+/// release.
+DriveResult finish(StreamServer& server, SessionId id) {
   EXPECT_EQ(server.close(id), stream::SessionState::Closed);
   DriveResult r;
-  r.events = std::move(events);
+  (void)server.drain_events(id, r.events);
   const StreamServer::SessionStats st = server.session_stats(id);
   r.chunks_processed = st.chunks_processed;
   r.samples = st.samples;
   r.events_n = st.events;
+  EXPECT_EQ(st.events_dropped, 0u);  // the whole record fit the egress bound
   r.beats = st.beats;
   const stream::Session* s = server.session(id);
   EXPECT_NE(s, nullptr);
@@ -92,10 +94,8 @@ DriveResult drive_csv(const PipelineConfig& cfg, const ecg::DigitizedRecord& rec
   const ecg::DigitizedRecord loaded = ecg::read_csv(csv);
 
   StreamServer server(server_opts(shards));
-  std::vector<Event> events;
   SessionSpec spec;
   spec.config = cfg;
-  spec.sink = [&events](const Event& ev) { events.push_back(ev); };
   const SessionId id = server.open(std::move(spec));
   for (std::size_t at = 0; at < loaded.adu.size(); at += chunk) {
     const std::size_t n = std::min(chunk, loaded.adu.size() - at);
@@ -103,24 +103,22 @@ DriveResult drive_csv(const PipelineConfig& cfg, const ecg::DigitizedRecord& rec
               PushResult::Ok)
         << "at " << at;
   }
-  return finish(server, id, std::move(events));
+  return finish(server, id);
 }
 
 /// The storage shape: record → write_record → mmap replay via loans.
 DriveResult drive_replay(const PipelineConfig& cfg, const std::string& path, unsigned shards,
                          std::size_t chunk) {
   StreamServer server(server_opts(shards));
-  std::vector<Event> events;
   SessionSpec spec;
   spec.config = cfg;
-  spec.sink = [&events](const Event& ev) { events.push_back(ev); };
   const SessionId id = server.open(std::move(spec));
 
   RecordReader reader(path);
   const ReplayResult rr = replay_record(reader, server, id, chunk);
   EXPECT_EQ(rr.status, PushResult::Ok);
   EXPECT_EQ(rr.samples, reader.header().n_samples);
-  return finish(server, id, std::move(events));
+  return finish(server, id);
 }
 
 TEST(StoreReplay, BitIdenticalToCsvAcrossFig12ConfigsAndShards) {
@@ -170,12 +168,8 @@ TEST(StoreReplay, CorruptPageQuarantinesRecordNotSiblingSessions) {
   testing::write_file(bad_path, img);
 
   StreamServer server(server_opts(1));
-  std::vector<Event> clean_events, bad_events;
-  SessionSpec spec_clean, spec_bad;
-  spec_clean.sink = [&clean_events](const Event& ev) { clean_events.push_back(ev); };
-  spec_bad.sink = [&bad_events](const Event& ev) { bad_events.push_back(ev); };
-  const SessionId ok_id = server.open(std::move(spec_clean));
-  const SessionId bad_id = server.open(std::move(spec_bad));
+  const SessionId ok_id = server.open(SessionSpec{});
+  const SessionId bad_id = server.open(SessionSpec{});
 
   RecordReader bad_reader(bad_path);
   bool threw = false;

@@ -1,13 +1,15 @@
 // Streaming session API tests: chunk invariance (any chunking of a record
 // through stream::Session is bit-identical to the whole-record batch
-// pipeline), online event semantics, parameter validation, the multi-session
-// SessionPool drive, and the StreamServer serving layer (session lifecycle,
-// backpressure, fault isolation / quarantine).
+// pipeline), online event semantics, parameter validation, and the
+// StreamServer serving layer (session lifecycle, backpressure, fault
+// isolation / quarantine, pull egress and its notifier).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -16,11 +18,9 @@
 #include <vector>
 
 #include "xbs/common/rng.hpp"
-#include "xbs/common/sync.hpp"
 #include "xbs/core/paper_configs.hpp"
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
-#include "xbs/stream/pool.hpp"
 #include "xbs/stream/server.hpp"
 #include "xbs/stream/session.hpp"
 
@@ -189,31 +189,33 @@ TEST(StreamChunkInvariance, SearchBackAndTWavePathsMatchBatch) {
   }
 }
 
-TEST(StreamSession, EventsMatchDetectionAndSinkSeesEverything) {
+TEST(StreamSession, EventsMatchDetectionAndDrainSeesEverything) {
   const auto rec = ecg::nsrdb_like_digitized(1, 6000);
-  SessionSpec spec;
-  std::vector<Event> sunk;
-  spec.sink = [&](const Event& ev) { sunk.push_back(ev); };
-  Session s(std::move(spec));
+  Session s{SessionSpec{}};
+  StreamServer server({.max_sessions = 1, .workers = 1});
+  const SessionId id = server.open(SessionSpec{});
 
   std::vector<Event> returned;
   for (std::size_t at = 0; at < rec.adu.size(); at += 250) {
     const auto len = std::min<std::size_t>(250, rec.adu.size() - at);
-    for (const Event& ev : s.push(std::span<const i32>(rec.adu).subspan(at, len))) {
-      returned.push_back(ev);
-    }
+    const std::span<const i32> chunk = std::span<const i32>(rec.adu).subspan(at, len);
+    for (const Event& ev : s.push(chunk)) returned.push_back(ev);
+    ASSERT_EQ(server.push(id, chunk), PushResult::Ok);
   }
   for (const Event& ev : s.flush()) returned.push_back(ev);
+  ASSERT_EQ(server.close(id), SessionState::Closed);
+  std::vector<Event> drained;
+  (void)server.drain_events(id, drained);
 
-  // The sink and the returned spans deliver the same event stream, which is
-  // exactly the cumulative detector trace.
-  ASSERT_EQ(returned.size(), sunk.size());
+  // The server's drained stream and the returned spans deliver the same
+  // event stream, which is exactly the cumulative detector trace.
+  ASSERT_EQ(returned.size(), drained.size());
   const auto& trace = s.detection().trace;
   ASSERT_EQ(returned.size(), trace.size());
   std::size_t beats = 0;
   for (std::size_t i = 0; i < returned.size(); ++i) {
     EXPECT_EQ(returned[i].peak, trace[i]);
-    EXPECT_EQ(returned[i].peak, sunk[i].peak);
+    EXPECT_EQ(returned[i].peak, drained[i].peak);
     if (returned[i].is_beat()) {
       ++beats;
       EXPECT_GT(returned[i].time_s, 0.0);
@@ -276,8 +278,13 @@ TEST(StreamSession, OpsAccountingMatchesBatch) {
   EXPECT_GT(s.total_ops().mults, 0u);
 }
 
-TEST(SessionPool, ConcurrentSessionsBitIdenticalToBatch) {
+TEST(StreamServer, ConcurrentSessionsBitIdenticalToBatch) {
+  // Six sessions fed concurrently from three producer threads through the
+  // loan path (acquire_buffer, fill in place, commit): every session's
+  // detection and drained events match the whole-record batch pipeline.
   constexpr std::size_t kSessions = 6;
+  constexpr std::size_t kProducers = 3;
+  constexpr std::size_t kChunk = 64;
   std::vector<std::vector<i32>> feeds;
   std::vector<std::vector<std::size_t>> expected_peaks;
   SessionSpec spec;
@@ -289,23 +296,49 @@ TEST(SessionPool, ConcurrentSessionsBitIdenticalToBatch) {
     feeds.push_back(std::move(rec.adu));
   }
 
-  SessionPool pool(spec, kSessions);
-  const auto stats = pool.drive(feeds, /*chunk_size=*/64, /*threads=*/3);
-
-  EXPECT_EQ(stats.sessions, kSessions);
-  EXPECT_EQ(stats.threads, 3u);
-  u64 total_samples = 0;
-  for (const auto& f : feeds) total_samples += f.size();
-  EXPECT_EQ(stats.samples, total_samples);
-  EXPECT_GT(stats.beats, 0u);
-  EXPECT_GE(stats.p99_chunk_s, stats.p50_chunk_s);
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    EXPECT_EQ(pool.session(i).detection().peaks, expected_peaks[i]) << "session " << i;
+  StreamServer server({.max_sessions = kSessions, .workers = kProducers});
+  std::vector<SessionId> ids;
+  for (std::size_t i = 0; i < kSessions; ++i) ids.push_back(server.open(spec));
+  std::vector<std::thread> producers;
+  for (std::size_t t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (std::size_t i = t; i < kSessions; i += kProducers) {
+        for (std::size_t at = 0; at < feeds[i].size(); at += kChunk) {
+          const std::size_t len = std::min(kChunk, feeds[i].size() - at);
+          ChunkLoan loan;
+          ASSERT_EQ(server.acquire_buffer(ids[i], len, loan), PushResult::Ok);
+          std::copy_n(feeds[i].begin() + static_cast<std::ptrdiff_t>(at), len,
+                      loan.data().begin());
+          ASSERT_EQ(server.commit(loan), PushResult::Ok);
+        }
+      }
+    });
   }
+  for (std::thread& t : producers) t.join();
 
-  // drive() is one-shot: a second call must refuse cleanly (not terminate
-  // inside a worker thread).
-  EXPECT_THROW((void)pool.drive(feeds, 64, 3), std::logic_error);
+  u64 total_samples = 0, beats = 0;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    ASSERT_EQ(server.close(ids[i]), SessionState::Closed) << "session " << i;
+    std::vector<Event> drained;
+    (void)server.drain_events(ids[i], drained);
+    const Session* sess = server.session(ids[i]);
+    ASSERT_NE(sess, nullptr);
+    EXPECT_EQ(sess->detection().peaks, expected_peaks[i]) << "session " << i;
+    const auto& trace = sess->detection().trace;
+    ASSERT_EQ(drained.size(), trace.size()) << "session " << i;
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      EXPECT_EQ(drained[k].peak, trace[k]) << "session " << i << " event " << k;
+    }
+    const auto st = server.session_stats(ids[i]);
+    EXPECT_EQ(st.samples, feeds[i].size());
+    EXPECT_EQ(st.events_dropped, 0u);
+    total_samples += st.samples;
+    beats += st.beats;
+  }
+  u64 fed = 0;
+  for (const auto& f : feeds) fed += f.size();
+  EXPECT_EQ(total_samples, fed);
+  EXPECT_GT(beats, 0u);
 }
 
 TEST(StreamSession, ResetBehavesLikeAFreshSession) {
@@ -338,28 +371,19 @@ TEST(StreamSession, ResetBehavesLikeAFreshSession) {
   expect_bit_identical(s, batch, "post-reset record");
 }
 
-/// Collects every event a server session delivers through its sink. The
-/// server drains one session from at most one worker at a time and close()
-/// synchronizes with the final state change, so no locking is needed as long
-/// as the vector is read only after close()/release().
-struct EventLog {
-  std::vector<Event> events;
-  [[nodiscard]] std::vector<std::size_t> beat_raw_indices() const {
-    std::vector<std::size_t> out;
-    for (const Event& ev : events) {
-      if (ev.is_beat()) out.push_back(ev.peak.raw_index);
-    }
-    return out;
-  }
-};
+/// Everything a session's egress queue holds right now (the whole record
+/// once it is Closed, as long as it fits the queue bound).
+std::vector<Event> drained(StreamServer& server, SessionId id) {
+  std::vector<Event> out;
+  (void)server.drain_events(id, out);
+  return out;
+}
 
 /// One-shot reference run: the pre-server single-threaded path.
 std::vector<Event> one_shot_events(const SessionSpec& base, std::span<const i32> feed,
                                    std::size_t chunk) {
   std::vector<Event> out;
-  SessionSpec spec = base;
-  spec.sink = {};
-  Session s(std::move(spec));
+  Session s(base);
   for (std::size_t at = 0; at < feed.size(); at += chunk) {
     const std::size_t len = std::min(chunk, feed.size() - at);
     for (const Event& ev : s.push(feed.subspan(at, len))) out.push_back(ev);
@@ -388,8 +412,6 @@ TEST(StreamServer, OpenPushCloseBitIdenticalToOneShotPath) {
   const PipelineResult batch = PanTompkinsPipeline(spec.config).run(rec.adu);
 
   StreamServer server({.max_sessions = 4, .queue_capacity_chunks = 8, .workers = 2});
-  EventLog log;
-  spec.sink = [&log](const Event& ev) { log.events.push_back(ev); };
   const SessionId id = server.open(spec);
 
   for (std::size_t at = 0; at < rec.adu.size(); at += 64) {
@@ -399,7 +421,8 @@ TEST(StreamServer, OpenPushCloseBitIdenticalToOneShotPath) {
   }
   ASSERT_EQ(server.close(id), SessionState::Closed);
 
-  expect_same_events(log.events, want, "server vs one-shot");
+  const std::vector<Event> got = drained(server, id);
+  expect_same_events(got, want, "server vs one-shot");
   const Session* s = server.session(id);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->detection().peaks, batch.detection.peaks);
@@ -407,7 +430,7 @@ TEST(StreamServer, OpenPushCloseBitIdenticalToOneShotPath) {
   const auto st = server.session_stats(id);
   EXPECT_EQ(st.state, SessionState::Closed);
   EXPECT_EQ(st.samples, rec.adu.size());
-  EXPECT_EQ(st.events, log.events.size());
+  EXPECT_EQ(st.events, got.size());
   EXPECT_EQ(st.dropped_chunks, 0u);
   EXPECT_EQ(st.queued_chunks, 0u);
   EXPECT_TRUE(st.error.empty());
@@ -426,8 +449,6 @@ TEST(StreamServer, ResetMidFlightStartsAFreshRecord) {
   const std::vector<Event> want = one_shot_events(spec, rec.adu, 128);
 
   StreamServer server({.max_sessions = 2, .workers = 1});
-  EventLog log;
-  spec.sink = [&log](const Event& ev) { log.events.push_back(ev); };
   const SessionId id = server.open(spec);
 
   // Stream a partial record, abandon it mid-flight, then stream the full
@@ -436,8 +457,7 @@ TEST(StreamServer, ResetMidFlightStartsAFreshRecord) {
     ASSERT_EQ(server.push(id, std::span<const i32>(rec.adu).subspan(at, 128)),
               PushResult::Ok);
   }
-  ASSERT_TRUE(server.reset(id));
-  log.events.clear();  // reset waits out in-flight work: no sink call races this
+  ASSERT_TRUE(server.reset(id));  // drops the abandoned episode's undrained events
 
   for (std::size_t at = 0; at < rec.adu.size(); at += 128) {
     const std::size_t len = std::min<std::size_t>(128, rec.adu.size() - at);
@@ -445,14 +465,14 @@ TEST(StreamServer, ResetMidFlightStartsAFreshRecord) {
               PushResult::Ok);
   }
   ASSERT_EQ(server.close(id), SessionState::Closed);
-  expect_same_events(log.events, want, "post-reset record");
+  expect_same_events(drained(server, id), want, "post-reset record");
 }
 
-TEST(StreamServer, QuarantineIsolatesThrowingSinkAndMalformedChunk) {
-  // N sessions stream concurrently; one session's sink throws mid-stream and
-  // another's feed contains a protocol-violating oversized chunk. Both must
-  // quarantine (state Faulted, error captured) while every other session's
-  // event stream stays bit-identical to an undisturbed run.
+TEST(StreamServer, QuarantineIsolatesMalformedChunk) {
+  // N sessions stream concurrently; one session's feed contains a
+  // protocol-violating oversized chunk. It must quarantine (state Faulted,
+  // error captured) while every other session's event stream stays
+  // bit-identical to an undisturbed run.
   constexpr std::size_t kSessions = 6;
   constexpr std::size_t kChunk = 64;
   SessionSpec base;
@@ -470,22 +490,8 @@ TEST(StreamServer, QuarantineIsolatesThrowingSinkAndMalformedChunk) {
                        .queue_capacity_chunks = 8,
                        .max_chunk_samples = kChunk,
                        .workers = 3});
-  std::vector<EventLog> logs(kSessions);
   std::vector<SessionId> ids;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    SessionSpec spec = base;
-    EventLog& log = logs[i];
-    if (i == 0) {
-      // Session 0: user sink blows up on its third event.
-      spec.sink = [&log](const Event& ev) {
-        log.events.push_back(ev);
-        if (log.events.size() == 3) throw std::runtime_error("sink boom");
-      };
-    } else {
-      spec.sink = [&log](const Event& ev) { log.events.push_back(ev); };
-    }
-    ids.push_back(server.open(spec));
-  }
+  for (std::size_t i = 0; i < kSessions; ++i) ids.push_back(server.open(base));
 
   // Interleaved round-robin ingest, as a front-end fanning in N streams
   // would deliver it. Session 1's 11th chunk violates the protocol bound.
@@ -512,39 +518,34 @@ TEST(StreamServer, QuarantineIsolatesThrowingSinkAndMalformedChunk) {
     }
   }
 
-  // The malformed chunk is refused synchronously; the sink fault surfaces on
-  // whatever push follows the worker's discovery — close() always observes it.
+  // The malformed chunk is refused synchronously, and close() observes it.
   EXPECT_EQ(last[1], PushResult::Faulted);
-  EXPECT_EQ(server.close(ids[0]), SessionState::Faulted);
   EXPECT_EQ(server.close(ids[1]), SessionState::Faulted);
   for (std::size_t i = 2; i < kSessions; ++i) {
     EXPECT_EQ(server.close(ids[i]), SessionState::Closed) << "session " << i;
   }
-
-  const auto st0 = server.session_stats(ids[0]);
-  EXPECT_EQ(st0.state, SessionState::Faulted);
-  EXPECT_NE(st0.error.find("sink boom"), std::string::npos) << st0.error;
-  EXPECT_EQ(logs[0].events.size(), 3u);  // delivered up to (and including) the bang
+  EXPECT_EQ(server.close(ids[0]), SessionState::Closed);
 
   const auto st1 = server.session_stats(ids[1]);
   EXPECT_EQ(st1.state, SessionState::Faulted);
   EXPECT_NE(st1.error.find("protocol violation"), std::string::npos) << st1.error;
 
   // The healthy majority is bit-identical to undisturbed runs.
-  for (std::size_t i = 2; i < kSessions; ++i) {
-    expect_same_events(logs[i].events, want[i], "session " + std::to_string(i));
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    if (i == 1) continue;
+    expect_same_events(drained(server, ids[i]), want[i], "session " + std::to_string(i));
     const auto st = server.session_stats(ids[i]);
     EXPECT_EQ(st.samples, feeds[i].size()) << "session " << i;
     EXPECT_TRUE(st.error.empty()) << "session " << i;
   }
 
   const auto ss = server.stats();
-  EXPECT_EQ(ss.faulted, 2u);
-  EXPECT_EQ(ss.closed, kSessions - 2);
+  EXPECT_EQ(ss.faulted, 1u);
+  EXPECT_EQ(ss.closed, kSessions - 1);
   EXPECT_EQ(ss.open, 0u);
   EXPECT_GT(ss.rejected_chunks, 0u);  // at least the protocol-violating chunk
 
-  // The faulted sessions' ledgers close too: every accepted chunk was either
+  // The faulted session's ledger closes too: every accepted chunk was either
   // processed or explicitly dropped at the quarantine.
   for (std::size_t i = 0; i < kSessions; ++i) {
     const auto st = server.session_stats(ids[i]);
@@ -625,29 +626,6 @@ TEST(StreamServer, StaleIdsAndSlotReuse) {
   EXPECT_EQ(server.close(second), SessionState::Closed);
 }
 
-TEST(StreamServer, PushAfterFlushOnAdoptedSessionQuarantines) {
-  // An adopted session that was already flushed is the push-after-flush
-  // hazard: pre-server, Session::push would throw std::logic_error straight
-  // through a worker thread (std::terminate). Now it must quarantine.
-  auto session = std::make_unique<Session>(SessionSpec{});
-  (void)session->push(std::vector<i32>(64, 0));
-  (void)session->flush();
-
-  StreamServer server({.max_sessions = 1, .workers = 1});
-  const SessionId id = server.adopt(std::move(session));
-  EXPECT_EQ(server.push(id, std::vector<i32>(16, 0)), PushResult::Ok);  // queued
-  EXPECT_EQ(server.close(id), SessionState::Faulted);
-  const auto st = server.session_stats(id);
-  EXPECT_NE(st.error.find("push after flush"), std::string::npos) << st.error;
-
-  // reset() releases the quarantine: the same slot streams a fresh record.
-  ASSERT_TRUE(server.reset(id));
-  EXPECT_EQ(server.session_stats(id).state, SessionState::Open);
-  EXPECT_EQ(server.push(id, std::vector<i32>(64, 1)), PushResult::Ok);
-  EXPECT_EQ(server.close(id), SessionState::Closed);
-  EXPECT_TRUE(server.session_stats(id).error.empty());
-}
-
 TEST(StreamServer, ChurnReprovisionsSlotsWhileOthersStream) {
   // Three live streams; the middle one disconnects and its slot is released
   // and re-provisioned for a new stream while the outer two keep flowing.
@@ -662,14 +640,7 @@ TEST(StreamServer, ChurnReprovisionsSlotsWhileOthersStream) {
   for (const auto& f : feeds) want.push_back(one_shot_events(base, f, 100));
 
   StreamServer server({.max_sessions = 3, .workers = 2});
-  std::vector<EventLog> logs(4);
-  auto open_with_log = [&](std::size_t i) {
-    SessionSpec spec = base;
-    EventLog& log = logs[i];
-    spec.sink = [&log](const Event& ev) { log.events.push_back(ev); };
-    return server.open(spec);
-  };
-  SessionId a = open_with_log(0), b = open_with_log(1), c = open_with_log(2);
+  SessionId a = server.open(base), b = server.open(base), c = server.open(base);
 
   auto push_some = [&](SessionId id, std::size_t feed, std::size_t from, std::size_t to) {
     for (std::size_t at = from; at < to; at += 100) {
@@ -687,7 +658,7 @@ TEST(StreamServer, ChurnReprovisionsSlotsWhileOthersStream) {
   // for stream 3 while streams 0 and 2 continue uninterrupted.
   EXPECT_EQ(server.close(b), SessionState::Closed);
   ASSERT_NE(server.release(b), nullptr);
-  const SessionId d = open_with_log(3);
+  const SessionId d = server.open(base);
   EXPECT_EQ(d.slot, b.slot);
 
   push_some(a, 0, 1500, feeds[0].size());
@@ -698,9 +669,9 @@ TEST(StreamServer, ChurnReprovisionsSlotsWhileOthersStream) {
   EXPECT_EQ(server.close(c), SessionState::Closed);
   EXPECT_EQ(server.close(d), SessionState::Closed);
 
-  expect_same_events(logs[0].events, want[0], "survivor A");
-  expect_same_events(logs[2].events, want[2], "survivor C");
-  expect_same_events(logs[3].events, want[3], "newcomer D");
+  expect_same_events(drained(server, a), want[0], "survivor A");
+  expect_same_events(drained(server, c), want[2], "survivor C");
+  expect_same_events(drained(server, d), want[3], "newcomer D");
 
   // Clean ledgers across the churn: every accepted chunk is accounted for on
   // every surviving slot, with nothing rejected or dropped on these lossless
@@ -725,8 +696,7 @@ TEST(StreamServer, ChurnReprovisionsSlotsWhileOthersStream) {
 /// bit-identity comparison (peak queue depth is scheduling noise and is
 /// deliberately not captured).
 struct SessionOutcome {
-  std::vector<Event> sunk;     ///< push-model egress (sink)
-  std::vector<Event> drained;  ///< pull-model egress (drain_events)
+  std::vector<Event> drained;  ///< egress (drain_events)
   std::array<arith::OpCounts, pantompkins::kNumStages> ops{};
   u64 chunks_in = 0, chunks_processed = 0, rejected = 0, dropped = 0;
   u64 resets = 0, samples = 0, events = 0, beats = 0, events_dropped = 0;
@@ -756,12 +726,7 @@ TEST(StreamServerSharded, ShardCountIsObservablyInvariant) {
     EXPECT_EQ(server.shards(), shards);
     std::vector<SessionOutcome> out(kSessions);
     std::vector<SessionId> ids;
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      SessionSpec spec = base;
-      std::vector<Event>& log = out[i].sunk;
-      spec.sink = [&log](const Event& ev) { log.push_back(ev); };
-      ids.push_back(server.open(spec));
-    }
+    for (std::size_t i = 0; i < kSessions; ++i) ids.push_back(server.open(base));
 
     std::vector<std::size_t> pos(kSessions, 0);
     bool any = true;
@@ -814,7 +779,6 @@ TEST(StreamServerSharded, ShardCountIsObservablyInvariant) {
     for (std::size_t i = 0; i < kSessions; ++i) {
       const std::string what = "shards=" + std::to_string(shards) + " session " +
                                std::to_string(i);
-      expect_same_events(got[i].sunk, one[i].sunk, what + " sink");
       expect_same_events(got[i].drained, one[i].drained, what + " drained");
       for (std::size_t st = 0; st < one[i].ops.size(); ++st) {
         EXPECT_EQ(got[i].ops[st], one[i].ops[st]) << what << " ops stage " << st;
@@ -842,12 +806,8 @@ TEST(StreamServer, LoanIngestBitIdenticalToCopyingPush) {
   base.config = PipelineConfig::from_lsbs({10, 12, 2, 8, 16});
 
   StreamServer server({.max_sessions = 2, .queue_capacity_chunks = 8, .workers = 2});
-  std::vector<Event> sunk_copy, sunk_loan;
-  SessionSpec spec_copy = base, spec_loan = base;
-  spec_copy.sink = [&sunk_copy](const Event& ev) { sunk_copy.push_back(ev); };
-  spec_loan.sink = [&sunk_loan](const Event& ev) { sunk_loan.push_back(ev); };
-  const SessionId a = server.open(spec_copy);
-  const SessionId b = server.open(spec_loan);
+  const SessionId a = server.open(base);
+  const SessionId b = server.open(base);
 
   constexpr std::size_t kChunk = 64;
   std::size_t at_b = 0;
@@ -885,7 +845,7 @@ TEST(StreamServer, LoanIngestBitIdenticalToCopyingPush) {
   ASSERT_EQ(server.close(a), SessionState::Closed);
   ASSERT_EQ(server.close(b), SessionState::Closed);
 
-  expect_same_events(sunk_loan, sunk_copy, "loan vs copy");
+  expect_same_events(drained(server, b), drained(server, a), "loan vs copy");
   const auto sa = server.session_stats(a);
   const auto sb = server.session_stats(b);
   EXPECT_EQ(sa.samples, rec.adu.size());
@@ -957,10 +917,10 @@ TEST(StreamServer, LoanAcquiredBeforeResetCannotPolluteTheFreshRecord) {
   EXPECT_EQ(st.chunks_in, st.chunks_processed + st.queued_chunks + st.dropped_chunks);
 }
 
-TEST(StreamServer, DrainEventsDeliversExactlyTheSinkStream) {
-  // Pull egress: drain_events hands a single-threaded consumer the same
-  // event stream the sink saw (and the one-shot reference produced), with no
-  // locking discipline on the consumer side.
+TEST(StreamServer, DrainEventsDeliversExactlyTheOneShotStream) {
+  // Pull egress: drain_events, polled mid-stream and after close, hands a
+  // single-threaded consumer exactly the event stream the one-shot reference
+  // produced, with no locking discipline on the consumer side.
   const auto rec = ecg::nsrdb_like_digitized(3, 6000);
   SessionSpec spec;
   spec.config = PipelineConfig::from_lsbs({10, 12, 2, 8, 16});
@@ -970,8 +930,6 @@ TEST(StreamServer, DrainEventsDeliversExactlyTheSinkStream) {
                        .queue_capacity_chunks = 8,
                        .workers = 2,
                        .event_queue_capacity = 1024});
-  EventLog log;
-  spec.sink = [&log](const Event& ev) { log.events.push_back(ev); };
   const SessionId id = server.open(spec);
 
   std::vector<Event> drained;
@@ -985,7 +943,6 @@ TEST(StreamServer, DrainEventsDeliversExactlyTheSinkStream) {
   (void)server.drain_events(id, drained);  // the tail stays drainable after close
 
   expect_same_events(drained, want, "drained vs one-shot");
-  expect_same_events(log.events, want, "sink vs one-shot");
   const auto st = server.session_stats(id);
   EXPECT_EQ(st.events_dropped, 0u);
   EXPECT_EQ(st.events_queued, 0u);
@@ -1019,16 +976,20 @@ TEST(StreamServer, EgressBoundShedsOldestAndCountsIt) {
   EXPECT_EQ(st.events, want.size());
 }
 
-TEST(StreamServer, PullEgressDisabledByDefault) {
+TEST(StreamServer, EgressIsAlwaysOnAndAZeroBoundIsRejected) {
+  EXPECT_EQ(StreamServer::Options{}.event_queue_capacity, 1024u);
+  EXPECT_THROW(StreamServer({.event_queue_capacity = 0}), std::invalid_argument);
+
   StreamServer server({.max_sessions = 1, .workers = 1});
+  const auto rec = ecg::nsrdb_like_digitized(5, 3000);
   SessionSpec spec;
   spec.keep_detection = false;
   const SessionId id = server.open(spec);
-  ASSERT_EQ(server.push(id, std::vector<i32>(500, 5)), PushResult::Ok);
+  ASSERT_EQ(server.push(id, rec.adu), PushResult::Ok);
   EXPECT_EQ(server.close(id), SessionState::Closed);
   std::vector<Event> drained;
-  EXPECT_EQ(server.drain_events(id, drained), 0u);
-  EXPECT_TRUE(drained.empty());
+  EXPECT_GT(server.drain_events(id, drained), 0u);
+  EXPECT_EQ(drained.size(), server.session_stats(id).events);
 }
 
 TEST(StreamServer, BlockedProducerWakesOnClose) {
@@ -1241,64 +1202,6 @@ TEST(StreamServer, WarmStartResetCarriesTrainedThresholds) {
   EXPECT_GT(warm, 0u);  // trained thresholds carried: beats from the start
 }
 
-TEST(StreamServer, TimedDrainWakesOnEventArrivalInsteadOfTimingOut) {
-  // The blocking overload sleeps until the first event lands, then drains
-  // everything queued at that instant — the egress path's alternative to
-  // spin-polling.
-  const auto rec = ecg::nsrdb_like_digitized(4, 6000);
-  SessionSpec spec;
-  spec.keep_detection = false;
-  StreamServer server({.max_sessions = 1,
-                       .queue_capacity_chunks = 256,
-                       .workers = 1,
-                       .event_queue_capacity = 1024});
-  const SessionId id = server.open(spec);
-
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    for (std::size_t at = 0; at < rec.adu.size(); at += 100) {
-      const std::size_t len = std::min<std::size_t>(100, rec.adu.size() - at);
-      ASSERT_EQ(server.push(id, std::span<const i32>(rec.adu).subspan(at, len)),
-                PushResult::Ok);
-    }
-  });
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Event> out;
-  const std::size_t n = server.drain_events(id, out, std::chrono::seconds(30));
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  producer.join();
-  EXPECT_GT(n, 0u);
-  EXPECT_EQ(out.size(), n);
-  EXPECT_LT(waited, std::chrono::seconds(10));  // woke on the event, not the deadline
-  EXPECT_EQ(server.close(id), SessionState::Closed);
-}
-
-TEST(StreamServer, TimedDrainTimesOutEmptyAndReturnsAtOnceOnTerminalStates) {
-  StreamServer server({.max_sessions = 1, .workers = 1, .event_queue_capacity = 64});
-  SessionSpec spec;
-  spec.keep_detection = false;
-  const SessionId id = server.open(spec);
-
-  // Nothing queued, nothing coming: the wait runs to its deadline and
-  // reports zero.
-  std::vector<Event> out;
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(server.drain_events(id, out, std::chrono::milliseconds(60)), 0u);
-  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(50));
-
-  // A session that can produce no more events must not burn the timeout.
-  ASSERT_EQ(server.push(id, std::vector<i32>(500, 5)), PushResult::Ok);
-  ASSERT_EQ(server.close(id), SessionState::Closed);
-  (void)server.drain_events(id, out);  // empty the queue first
-  const auto t1 = std::chrono::steady_clock::now();
-  EXPECT_EQ(server.drain_events(id, out, std::chrono::seconds(30)), 0u);
-  EXPECT_LT(std::chrono::steady_clock::now() - t1, std::chrono::seconds(10));
-
-  // Stale id: same immediate zero.
-  (void)server.release(id);
-  EXPECT_EQ(server.drain_events(id, out, std::chrono::seconds(30)), 0u);
-}
-
 TEST(StreamServer, OpenPlacesSessionsOnTheLeastLoadedShard) {
   // Placement balances live sessions across shards instead of letting the
   // round-robin generation counter pile tenants onto one shard as others
@@ -1346,30 +1249,6 @@ TEST(StreamSession, WarmStartVsColdResetAtTheSessionLevel) {
   EXPECT_EQ(cold_beats, 0u);  // back in the training window
 }
 
-TEST(SessionPool, DriveSurvivesAThrowingSinkEverywhere) {
-  // Pre-server, a throwing sink inside drive()'s workers was
-  // std::terminate. Now every session quarantines individually and drive()
-  // still returns with honest stats.
-  constexpr std::size_t kSessions = 3;
-  std::vector<std::vector<i32>> feeds;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    feeds.push_back(ecg::nsrdb_like_digitized(static_cast<int>(i), 3000).adu);
-  }
-  SessionSpec spec;
-  spec.sink = [](const Event&) { throw std::runtime_error("sink boom"); };
-  SessionPool pool(spec, kSessions);
-  const auto stats = pool.drive(feeds, /*chunk_size=*/64, /*threads=*/2);
-  EXPECT_EQ(stats.faulted_sessions, kSessions);
-  EXPECT_EQ(stats.closed_sessions, 0u);
-  EXPECT_GT(stats.dropped_chunks, 0u);
-  EXPECT_LT(stats.samples, 3u * 3000u);  // every feed was cut short
-
-  // The one-shot guard must hold even though no session ever flushed
-  // (faulted sessions don't): a second drive refuses instead of
-  // re-quarantining everything with push-after-flush noise.
-  EXPECT_THROW((void)pool.drive(feeds, 64, 2), std::logic_error);
-}
-
 TEST(DetectorParamsValidation, RejectsNonPositiveRatesAndNegativeWindows) {
   pantompkins::DetectorParams p;
   EXPECT_TRUE(p.valid());
@@ -1399,31 +1278,15 @@ TEST(StreamServer, DeepSessionCannotMonopolizeAWorker) {
   // is fully deterministic. A "deep" session arrives first with 16 queued
   // chunks (two max-size drain batches); three "shallow" sessions arrive
   // after it with one chunk each. The deadline-aware ready list must yield
-  // between the deep session's batches so every shallow session is served
-  // before the deep back half — instead of the deep session monopolizing the
-  // worker until its queue runs dry.
-  constexpr std::size_t kChunk = 1000;
+  // between the deep session's batches, so every shallow session finishes
+  // while the deep session still has chunks to process — instead of the
+  // deep session monopolizing the worker until its queue runs dry. Deep
+  // chunks are long (each batch is 200k samples of work), so sampling
+  // session_stats from this thread catches that window even on a loaded host.
+  constexpr std::size_t kChunk = 25000;
   constexpr std::size_t kDeepChunks = 16;
   const ecg::DigitizedRecord deep_rec = ecg::nsrdb_like_digitized(7, kDeepChunks * kChunk);
   const ecg::DigitizedRecord shallow_rec = ecg::nsrdb_like_digitized(8, 4000);
-
-  // Ground truth from a plain Session: the deep feed must emit events in its
-  // back half (so "before the last deep push event" is a real constraint) and
-  // the shallow feed must emit at least one event during its single push.
-  std::size_t deep_push_events = 0;
-  std::size_t deep_first_half_events = 0;
-  {
-    Session deep(SessionSpec{});
-    for (std::size_t c = 0; c < kDeepChunks; ++c) {
-      deep_push_events +=
-          deep.push(std::span<const i32>(deep_rec.adu).subspan(c * kChunk, kChunk)).size();
-      if (c == kDeepChunks / 2 - 1) deep_first_half_events = deep_push_events;
-    }
-    Session shallow(SessionSpec{});
-    ASSERT_GT(shallow.push(shallow_rec.adu).size(), 0u);
-  }
-  ASSERT_GT(deep_push_events, deep_first_half_events)
-      << "feed must produce events in the deep session's second drain batch";
 
   StreamServer::Options opts;
   opts.workers = 1;
@@ -1432,26 +1295,11 @@ TEST(StreamServer, DeepSessionCannotMonopolizeAWorker) {
   StreamServer server(opts);
   server.pause();
 
-  // Unranked leaf lock (the test-code idiom from sync.hpp): sinks run on
-  // worker threads with no serving-stack lock held.
-  common::Mutex order_mu;
-  std::vector<char> order;  // global event arrival order: 'D' deep, 'S' shallow
-  const auto tag_sink = [&order_mu, &order](char tag) {
-    return [&order_mu, &order, tag](const Event&) {
-      const common::MutexLock lock(order_mu);
-      order.push_back(tag);
-    };
-  };
-
-  SessionSpec deep_spec;
-  deep_spec.sink = tag_sink('D');
-  const SessionId deep_id = server.open(std::move(deep_spec));
+  SessionSpec spec;
+  spec.keep_detection = false;
+  const SessionId deep_id = server.open(spec);
   std::array<SessionId, 3> shallow_ids{};
-  for (SessionId& id : shallow_ids) {
-    SessionSpec spec;
-    spec.sink = tag_sink('S');
-    id = server.open(std::move(spec));
-  }
+  for (SessionId& id : shallow_ids) id = server.open(spec);
 
   // Enqueue while paused: deep first (16 chunks, exactly at capacity), then
   // the shallow sessions. Ready order at resume: deep, s1, s2, s3.
@@ -1465,28 +1313,98 @@ TEST(StreamServer, DeepSessionCannotMonopolizeAWorker) {
     ASSERT_EQ(server.try_push(id, shallow_rec.adu), PushResult::Ok);
   }
   server.resume();
+
+  const auto shallow_done = [&] {
+    for (const SessionId id : shallow_ids) {
+      if (server.session_stats(id).chunks_processed == 0) return false;
+    }
+    return true;
+  };
+  while (!shallow_done()) std::this_thread::yield();
+  const u64 deep_processed = server.session_stats(deep_id).chunks_processed;
+  EXPECT_GE(deep_processed, kDeepChunks / 2) << "the deep session was ready first";
+  EXPECT_LT(deep_processed, kDeepChunks)
+      << "a deep session monopolized the worker: its whole backlog was served "
+         "before any shallow session";
+
   for (const SessionId id : shallow_ids) {
     EXPECT_EQ(server.close(id), SessionState::Closed);
   }
   EXPECT_EQ(server.close(deep_id), SessionState::Closed);
   EXPECT_EQ(server.session_stats(deep_id).chunks_processed, kDeepChunks);
+}
 
-  // The first deep_push_events 'D's are the deep session's push-phase events
-  // (its flush events can only come later). At least one shallow event must
-  // land before the last of them.
-  const common::MutexLock lock(order_mu);
-  std::size_t first_shallow = order.size();
-  std::size_t last_deep_push = order.size();
-  std::size_t deep_seen = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] == 'S' && first_shallow == order.size()) first_shallow = i;
-    if (order[i] == 'D' && ++deep_seen == deep_push_events) last_deep_push = i;
+TEST(StreamServer, EgressNotifierFiresOncePerEventBatchAndLanding) {
+  // The notifier is how a sleeping consumer learns there is something to
+  // drain: once per worker batch that appended events, once per
+  // Closed/Faulted landing, and never for a batch that finalized nothing.
+  constexpr std::size_t kChunk = 1000;
+  constexpr std::size_t kCap = 8;  // drain batches of kCap / 2 chunks
+  SessionSpec spec;
+  spec.keep_detection = false;
+
+  // Runs `drive` on a fresh one-worker server and counts the notifier
+  // calls; destroying the server joins its workers, so every call has
+  // returned by the time the count is read.
+  const auto count_calls = [&](const std::function<void(StreamServer&)>& drive) {
+    std::atomic<int> calls{0};
+    {
+      StreamServer::Options opts;
+      opts.max_sessions = 1;
+      opts.queue_capacity_chunks = kCap;
+      opts.max_chunk_samples = kChunk;
+      opts.workers = 1;
+      opts.shards = 1;
+      StreamServer server(opts, [&calls] { calls.fetch_add(1); });
+      drive(server);
+    }
+    return calls.load();
+  };
+
+  // Two full batches of a real record: one call per batch that finalized
+  // events (ground truth from a plain Session), plus the landing.
+  const auto rec = ecg::nsrdb_like_digitized(6, kCap * kChunk);
+  const auto chunk = [&](std::size_t c) {
+    return std::span<const i32>(rec.adu).subspan(c * kChunk, kChunk);
+  };
+  int batches_with_events = 0;
+  {
+    Session ref(spec);
+    for (std::size_t b = 0; b < 2; ++b) {
+      std::size_t n = 0;
+      for (std::size_t c = 0; c < kCap / 2; ++c) n += ref.push(chunk(b * kCap / 2 + c)).size();
+      batches_with_events += n > 0 ? 1 : 0;
+    }
   }
-  ASSERT_LT(first_shallow, order.size()) << "shallow sessions produced no events";
-  ASSERT_LT(last_deep_push, order.size());
-  EXPECT_LT(first_shallow, last_deep_push)
-      << "a deep session monopolized the worker: all " << deep_push_events
-      << " deep push events were served before any shallow session";
+  ASSERT_GT(batches_with_events, 0);
+  const int record_calls = count_calls([&](StreamServer& server) {
+    server.pause();  // both batches queue up before the worker runs
+    const SessionId id = server.open(spec);
+    for (std::size_t c = 0; c < kCap; ++c) {
+      ASSERT_EQ(server.try_push(id, chunk(c)), PushResult::Ok);
+    }
+    server.resume();
+    ASSERT_EQ(server.close(id), SessionState::Closed);
+  });
+  EXPECT_EQ(record_calls, batches_with_events + 1);
+
+  // A flat line finalizes nothing: only the landing is announced.
+  const int flat_calls = count_calls([&](StreamServer& server) {
+    const SessionId id = server.open(spec);
+    for (int c = 0; c < 4; ++c) {
+      ASSERT_EQ(server.push(id, std::vector<i32>(kChunk, 0)), PushResult::Ok);
+    }
+    ASSERT_EQ(server.close(id), SessionState::Closed);
+  });
+  EXPECT_EQ(flat_calls, 1);
+
+  // A protocol violation lands Faulted on the ingest caller's thread.
+  const int fault_calls = count_calls([&](StreamServer& server) {
+    const SessionId id = server.open(spec);
+    ASSERT_EQ(server.try_push(id, std::vector<i32>(kChunk + 1, 0)), PushResult::Faulted);
+    ASSERT_EQ(server.close(id), SessionState::Faulted);
+  });
+  EXPECT_EQ(fault_calls, 1);
 }
 
 }  // namespace
