@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "xbs/arith/kernel.hpp"
 #include "xbs/arith/multiplier.hpp"
 #include "xbs/arith/structure.hpp"
 #include "xbs/common/rng.hpp"
@@ -94,9 +95,9 @@ int main() {
     const pantompkins::PanTompkinsPipeline pipe;  // accurate front pipeline
     const auto res = pipe.run_filters(records[0].adu);
 
-    arith::ExactUnit u30, u32;
-    pantompkins::MwiStage w30(30, 5, u30);
-    pantompkins::MwiStage w32(32, 5, u32);
+    arith::ExactKernel k30, k32;
+    pantompkins::MwiStage w30(30, 5, k30);
+    pantompkins::MwiStage w32(32, 5, k32);
     double num = 0.0, den = 0.0;
     double peak30 = 0.0, peak32 = 0.0;
     for (const i32 x : res.sqr) {

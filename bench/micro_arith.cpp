@@ -3,9 +3,9 @@
 // which bounds the speed of every quality evaluation in the methodology.
 #include <benchmark/benchmark.h>
 
+#include "xbs/arith/kernel.hpp"
 #include "xbs/arith/multiplier.hpp"
 #include "xbs/arith/rca.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
 
 namespace {
@@ -54,17 +54,18 @@ void BM_Mult16Construction(benchmark::State& state) {
 }
 BENCHMARK(BM_Mult16Construction)->Unit(benchmark::kMillisecond);
 
-void BM_SignedMulUnit(benchmark::State& state) {
-  arith::ApproxUnit unit(arith::StageArithConfig::uniform(static_cast<int>(state.range(0))));
+void BM_SignedMulKernel(benchmark::State& state) {
+  // The counted scalar op a stage's per-sample process(x) runs through.
+  arith::ApproxKernel kernel(arith::StageArithConfig::uniform(static_cast<int>(state.range(0))));
   i64 a = 12345, b = -321;
   for (auto _ : state) {
-    const i64 p = unit.mul(a, b);
+    const i64 p = kernel.mul(a, b);
     benchmark::DoNotOptimize(p);
     a = (a + 7) & 0x7FFF;
     b = -((-b + 13) & 0x7FFF);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SignedMulUnit)->Arg(0)->Arg(10);
+BENCHMARK(BM_SignedMulKernel)->Arg(0)->Arg(10);
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Scalar-vs-batched datapath throughput on a FIR workload (the ISSUE-1
-// acceptance bench). Streams a random 16-bit signal through the LPF stage
-// four ways — scalar/batched x exact/approximate — and emits one JSON object
-// so future PRs have a machine-readable perf baseline to regress against.
+// Scalar-vs-batched datapath throughput on a FIR workload. Streams a random
+// 16-bit signal through the LPF stage four ways — scalar/batched x
+// exact/approximate — and emits one JSON object, a machine-readable perf
+// baseline to regress against.
 // The `configs` array additionally reports the batched exact-vs-approximate
 // per-op gap for every elementary MultKind x ApproxPolicy combination, so
 // regressions in any table-compilation path are visible per configuration.
@@ -22,7 +22,6 @@
 
 #include "xbs/arith/isa.hpp"
 #include "xbs/arith/kernel.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/pantompkins/stages.hpp"
@@ -60,14 +59,14 @@ u64 checksum_of(const std::vector<i64>& y) {
   return h;
 }
 
-/// Stream the signal through a scalar-unit-backed FIR stage sample by sample
-/// (the legacy per-sample virtual-dispatch datapath).
-PathResult run_scalar(arith::ArithmeticUnit& unit, const std::vector<i32>& x, int iters) {
+/// Stream the signal through FirStage::process sample by sample: the
+/// kernel's counted scalar ops, one virtual call per operation, no tables.
+PathResult run_scalar(arith::Kernel& kernel, const std::vector<i32>& x, int iters) {
   PathResult r;
   double best = 1e300;
   std::vector<i32> y(x.size());
   for (int it = 0; it < iters; ++it) {
-    pantompkins::FirStage fir(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, unit);
+    pantompkins::FirStage fir(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
     const double t0 = now_s();
     for (std::size_t i = 0; i < x.size(); ++i) y[i] = fir.process(x[i]);
     best = std::min(best, now_s() - t0);
@@ -77,8 +76,8 @@ PathResult run_scalar(arith::ArithmeticUnit& unit, const std::vector<i32>& x, in
   return r;
 }
 
-/// Run the signal through the batched block transform (one mul_cn/mac_n per
-/// tap over the whole record).
+/// Run the signal through the chunked transform as one whole-record chunk
+/// (one batched fir_n call).
 PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int iters) {
   PathResult r;
   double best = 1e300;
@@ -86,7 +85,7 @@ PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int ite
   for (int it = 0; it < iters; ++it) {
     pantompkins::FirStage fir(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
     const double t0 = now_s();
-    y = fir.process_block(x);
+    fir.process_chunk(x, y);
     best = std::min(best, now_s() - t0);
   }
   r.samples_per_sec = static_cast<double>(x.size()) / best;
@@ -114,13 +113,13 @@ int main(int argc, char** argv) {
 
   const arith::StageArithConfig approx_cfg = arith::StageArithConfig::uniform(lsbs);
 
-  arith::ExactUnit exact_unit;
-  const PathResult scalar_exact = run_scalar(exact_unit, x, iters);
+  arith::ExactKernel exact_scalar_kernel;
+  const PathResult scalar_exact = run_scalar(exact_scalar_kernel, x, iters);
   arith::ExactKernel exact_kernel;
   const PathResult batched_exact = run_batched(exact_kernel, x, iters);
 
-  arith::ApproxUnit approx_unit(approx_cfg);
-  const PathResult scalar_approx = run_scalar(approx_unit, x, iters);
+  arith::ApproxKernel approx_scalar_kernel(approx_cfg);
+  const PathResult scalar_approx = run_scalar(approx_scalar_kernel, x, iters);
   const std::unique_ptr<arith::Kernel> approx_kernel = arith::make_kernel(approx_cfg);
   {
     // Untimed warm-up: builds the multiplier LUTs and per-coefficient
@@ -152,23 +151,24 @@ int main(int argc, char** argv) {
       const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
       (void)run_batched(*kernel, x, 1);  // untimed table warm-up
       const PathResult batched = run_batched(*kernel, x, iters);
-      arith::ApproxUnit unit(cfg);
+      arith::ApproxKernel scalar_kernel(cfg);
       ConfigRow row;
       row.mult_kind = mk;
       row.policy = pol;
       row.sps = batched.samples_per_sec;
       row.gap = batched_exact.samples_per_sec / batched.samples_per_sec;
       // One scalar pass per config keeps the bit-identity check per row.
-      row.checksum_match = run_scalar(unit, x, 1).checksum == batched.checksum;
+      row.checksum_match = run_scalar(scalar_kernel, x, 1).checksum == batched.checksum;
       rows.push_back(row);
     }
   }
 
   // Per-(op x ISA) dispatch-table rows: each compiled-and-usable kernel tier
-  // runs the three raw dispatched loop shapes (table gather, wired add,
-  // fused gather-MAC) plus the whole batched LPF block, and is checksummed
-  // against the baseline tier — the bench doubles as a bit-identity check of
-  // every vector path it times.
+  // runs the two raw dispatched loop shapes (table gather, wired add) plus
+  // the whole batched LPF block, and is checksummed against the baseline
+  // tier — the bench doubles as a bit-identity check of every vector path it
+  // times. The wired-add loops require approx_bits in [1, w], so their rows
+  // run at max(lsbs, 1), reported as `isa_ops_lsbs`.
   struct IsaOpRow {
     arith::Isa isa;
     const char* op;
@@ -178,16 +178,17 @@ int main(int argc, char** argv) {
     bool checksum_match = false;
   };
   std::vector<IsaOpRow> isa_rows;
+  const int isa_ops_lsbs = std::max(lsbs, 1);
   {
     const std::size_t n = x.size();
     std::vector<i64> table(1u << 16);
     for (i64& t : table) t = rng.uniform_int(-(1 << 30), 1 << 30);
     const u64 mask = (1u << 16) - 1;
-    std::vector<i64> xi(n), a(n), b(n), out(n), acc(n);
+    std::vector<i64> xi(n), a(n), b(n), out(n);
     for (i64& v : xi) v = rng.uniform_int(-(1 << 20), 1 << 20);
     for (i64& v : a) v = rng.uniform_int(-2000000000, 2000000000);
     for (i64& v : b) v = rng.uniform_int(-2000000000, 2000000000);
-    const arith::WiredAddParams wp{32, lsbs, true, false};
+    const arith::WiredAddParams wp{32, isa_ops_lsbs, true, false};
 
     for (const arith::Isa isa : arith::kAllIsas) {
       const arith::KernelOps* ops = arith::kernel_ops_for(isa);
@@ -218,13 +219,6 @@ int main(int argc, char** argv) {
       });
       add.checksum = checksum_of(out);
       isa_rows.push_back(add);
-
-      IsaOpRow mac = time_op("wired_mac_n", [&] {
-        acc.assign(a.begin(), a.end());  // mac mutates: reset per iteration
-        ops->wired_mac_n(table.data(), mask, xi.data(), acc.data(), n, wp);
-      });
-      mac.checksum = checksum_of(acc);
-      isa_rows.push_back(mac);
 
       // The whole batched FIR block under this tier (tables already warm).
       (void)arith::force_kernel_isa(isa);
@@ -265,13 +259,14 @@ int main(int argc, char** argv) {
       "  \"speedup_approx\": %.2f,\n"
       "  \"checksum_exact_match\": %s,\n"
       "  \"checksum_approx_match\": %s,\n"
+      "  \"isa_ops_lsbs\": %d,\n"
       "  \"configs\": [\n",
       static_cast<int>(to_string(arith::kernel_isa().selected).size()),
       to_string(arith::kernel_isa().selected).data(),
       samples, iters, lsbs, scalar_exact.samples_per_sec, batched_exact.samples_per_sec,
       scalar_approx.samples_per_sec, batched_approx.samples_per_sec, speedup_exact,
       speedup_approx, scalar_exact.checksum == batched_exact.checksum ? "true" : "false",
-      scalar_approx.checksum == batched_approx.checksum ? "true" : "false");
+      scalar_approx.checksum == batched_approx.checksum ? "true" : "false", isa_ops_lsbs);
   bool rows_match = true;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ConfigRow& r = rows[i];

@@ -1,13 +1,13 @@
 /// \file kernel.hpp
-/// \brief Batched arithmetic kernels — the block-granular datapath API.
+/// \brief Arithmetic kernels — the one datapath API.
 ///
-/// The scalar ArithmeticUnit interface pays one virtual dispatch, one config
-/// decode and one lookup-table resolution *per sample operation*. A Kernel
-/// amortizes all of that over a whole signal block: config decoding, LUT
-/// pointer resolution and operation counting happen once per `*_n` call, and
-/// the inner loops are tight non-virtual code. The scalar units in unit.hpp
-/// are thin adapters over these kernels, so both views of the datapath are
-/// bit-identical by construction (asserted in tests/test_kernel_equivalence).
+/// A Kernel's counted scalar ops (`add/sub/mul`, one virtual call per sample
+/// operation, no lookup tables) are the reference simulator: a stage's
+/// per-sample `process(x)` runs through them. The batched `*_n` ops amortize
+/// config decoding, LUT pointer resolution and operation counting over a
+/// whole signal block, and their inner loops are tight non-virtual code.
+/// Both are bit-identical, op counts included (asserted in
+/// tests/test_kernel_equivalence).
 ///
 /// Operand convention: every value is a sign-extended signed 64-bit integer
 /// carrying the block's `width`-bit two's-complement result, exactly like the
@@ -33,8 +33,8 @@ namespace xbs::arith {
 /// never false-shares with neighbouring allocations.
 using TableVec = std::vector<i64, AlignedAllocator<i64, 64>>;
 
-/// Datapath operation counters (shared vocabulary with the scalar units;
-/// reset between runs to attribute operations to stages).
+/// Datapath operation counters (reset between runs to attribute operations
+/// to stages).
 struct OpCounts {
   u64 adds = 0;
   u64 mults = 0;
@@ -80,9 +80,9 @@ struct StageArithConfig {
 /// once per block (n ops per call, identical totals to the scalar path) and
 /// dispatch a single virtual call; the `*_impl` hooks run the tight loops.
 ///
-/// The uncounted scalar hooks (`add1/sub1/mul1`) exist for the ArithmeticUnit
-/// adapters and for streaming single-sample use; they compute exactly one
-/// element of the corresponding batched op.
+/// The uncounted scalar hooks (`add1/sub1/mul1`) back the counted scalar ops
+/// and the base-class loops; each computes exactly one element of the
+/// corresponding batched op.
 class Kernel {
  public:
   virtual ~Kernel() = default;

@@ -364,17 +364,11 @@ void ApproxKernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc)
     }
     return;
   }
-  if (add_path_ != AddFastPath::Generic) {
-    // Fused gathered table walk + carry-free accumulate: the accumulator on
-    // the A port, the product on the B port — the same operand order as the
-    // scalar chain add(acc, mul(c, x)).
-    kernel_ops().wired_mac_n(prod, low_mask(cfg_.mult.width), x.data(), acc.data(),
-                             n, wired_params_);
-    return;
-  }
+  // Warm table walk: the accumulator on the A port, the product on the B
+  // port — the same operand order as the scalar chain add(acc, mul(c, x)).
   const u64 mmask = low_mask(cfg_.mult.width);
   for (std::size_t i = 0; i < n; ++i) {
-    acc[i] = adder_.add_signed(acc[i], prod[static_cast<u64>(x[i]) & mmask]);
+    acc[i] = add_signed_fast(acc[i], prod[static_cast<u64>(x[i]) & mmask]);
   }
 }
 

@@ -75,48 +75,10 @@ void wired_add_n_baseline(const i64* a, const i64* b, i64* out, std::size_t n,
   }
 }
 
-template <bool kSumIsB>
-XBS_NO_SANITIZE_INTEGER void wired_mac_loop(const i64* XBS_RESTRICT table, u64 mask,
-                                            const i64* XBS_RESTRICT x, i64* XBS_RESTRICT acc,
-                                            std::size_t n, int w, int k) noexcept {
-  const u64 wmask = low_mask(w);
-  const u64 sbit = u64{1} << (w - 1);
-  if (k >= w) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const u64 ua = static_cast<u64>(acc[i]) & wmask;
-      const u64 ub = static_cast<u64>(table[static_cast<u64>(x[i]) & mask]) & wmask;
-      const u64 low = (kSumIsB ? ub : ~ua) & wmask;
-      acc[i] = static_cast<i64>((low ^ sbit) - sbit);
-    }
-    return;
-  }
-  const u64 kmask = low_mask(k);
-  const u64 himask = low_mask(w - k);
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 ua = static_cast<u64>(acc[i]) & wmask;
-    const u64 ub = static_cast<u64>(table[static_cast<u64>(x[i]) & mask]) & wmask;
-    const u64 low = (kSumIsB ? ub : ~ua) & kmask;
-    const u64 carry = (ua >> (k - 1)) & 1u;
-    const u64 hi = ((ua >> k) + (ub >> k) + carry) & himask;
-    const u64 r = (hi << k) | low;
-    acc[i] = static_cast<i64>((r ^ sbit) - sbit);
-  }
-}
-
-void wired_mac_n_baseline(const i64* table, u64 mask, const i64* x, i64* acc,
-                          std::size_t n, const WiredAddParams& p) {
-  if (p.sum_is_b) {
-    wired_mac_loop<true>(table, mask, x, acc, n, p.width, p.approx_bits);
-  } else {
-    wired_mac_loop<false>(table, mask, x, acc, n, p.width, p.approx_bits);
-  }
-}
-
 }  // namespace
 
 const KernelOps& baseline_ops() noexcept {
-  static constexpr KernelOps ops{&gather_lut_n_baseline, &wired_add_n_baseline,
-                                 &wired_mac_n_baseline};
+  static constexpr KernelOps ops{&gather_lut_n_baseline, &wired_add_n_baseline};
   return ops;
 }
 

@@ -1,34 +1,27 @@
 /// \file stages.hpp
 /// \brief The five Pan-Tompkins application stages as fixed-point datapaths
-/// over the batched kernel API.
+/// over the kernel API.
 ///
-/// Each stage offers three bit-identical views of the same datapath:
-///  - `process(state, x)` — the streaming scalar path (one sample in, one out),
-///  - `process_chunk(state, xs)` — the resumable chunked transform: consumes
-///    a chunk of any size, carries the delay/window state across calls, and
-///    issues one batched kernel call per FIR tap / adder-tree level,
-///  - `process_block(xs)` — the whole-record transform (a fresh-state
-///    one-chunk wrapper over process_chunk).
-/// Every view performs exactly the same dataflow graph per output sample
-/// (same operands, same order, same operation counts), so outputs and
-/// OpCounts match bit for bit for any chunking (tests/test_kernel_equivalence,
-/// tests/test_stream).
-///
-/// The carry-over state of each stage is an explicit struct (FirState,
-/// MwiState) so long-lived streaming sessions can own per-session state while
-/// sharing the immutable stage wiring and kernels.
+/// Each stage offers two bit-identical views of the same datapath:
+///  - `process(x)` — the per-sample reference path (one sample in, one out)
+///    through the kernel's counted scalar ops,
+///  - `process_chunk(x, y)` — the resumable chunked transform: consumes a
+///    chunk of any size, carries the delay/window ring across calls, and
+///    issues batched kernel calls (one fir_n per FIR chunk, one add_n per
+///    MWI adder-tree pair).
+/// Both perform exactly the same dataflow graph per output sample (same
+/// operands, same order, same operation counts), so outputs and OpCounts
+/// match bit for bit for any chunking and any interleaving of the two
+/// (tests/test_kernel_equivalence, tests/test_stream).
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <variant>
 #include <vector>
 
 #include "xbs/arith/kernel.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/common/types.hpp"
 
 namespace xbs::pantompkins {
@@ -65,85 +58,33 @@ struct StageInventory {
 /// DER 3+4 (4 non-zero taps), SQR 0+1, MWI 29+0 (30-input adder tree).
 [[nodiscard]] const StageInventory& stage_inventory(Stage s) noexcept;
 
-/// Carry-over state of a FIR stage: the delay-line ring. `head` is the next
-/// write slot, which always holds the oldest retained sample.
-struct FirState {
-  std::vector<i32> delay;
-  std::size_t head = 0;
-
-  /// Zero the delay line in place (no reallocation): the state of a fresh
-  /// record, reusable on the serving hot path (stream::Session::reset).
-  void reset() noexcept {
-    std::fill(delay.begin(), delay.end(), 0);
-    head = 0;
-  }
-};
-
-/// Carry-over state of the MWI stage: the window ring, same conventions.
-struct MwiState {
-  std::vector<i32> window;
-  std::size_t head = 0;
-
-  /// Zero the window in place (no reallocation).
-  void reset() noexcept {
-    std::fill(window.begin(), window.end(), 0);
-    head = 0;
-  }
-};
-
-/// The squarer is stateless; its state struct exists for API symmetry.
-struct SqrState {
-  void reset() noexcept {}
-};
-
 /// A fixed-point FIR stage: per-tap 16x16 multiplies by integer
 /// coefficients, a chain of 32-bit accumulations, then an arithmetic
 /// normalization shift and 16-bit saturation of the output (the inter-stage
 /// register width). All arithmetic flows through the given kernel; the
-/// chunked transform issues one mul_cn/mac_n per non-zero tap.
+/// chunked transform issues one fir_n per chunk.
 class FirStage {
  public:
-  /// Kernel-backed construction (the fast path; kernel outlives the stage).
+  /// The kernel must outlive the stage.
   FirStage(std::span<const int> taps, int out_shift, arith::Kernel& kernel);
-  /// Scalar-unit construction: wraps the unit in a UnitKernel adapter so op
-  /// counts accrue on the caller's unit.
-  FirStage(std::span<const int> taps, int out_shift, arith::ArithmeticUnit& unit);
 
-  /// A zeroed delay line sized for this stage's taps.
-  [[nodiscard]] FirState make_state() const { return FirState{std::vector<i32>(taps_.size(), 0), 0}; }
-
-  /// Streaming scalar path: push one sample through \p st, get the output.
-  [[nodiscard]] i32 process(FirState& st, i32 x);
-
-  /// Resumable chunked transform: continues from \p st and carries it
-  /// forward — bit-identical to streaming the chunk through process().
-  /// The write-into form is the allocation-free serving hot path; \p y is
-  /// resized to the chunk length and must not alias \p x.
-  void process_chunk(FirState& st, std::span<const i32> x, std::vector<i32>& y);
-  [[nodiscard]] std::vector<i32> process_chunk(FirState& st, std::span<const i32> x) {
-    std::vector<i32> y;
-    process_chunk(st, x, y);
-    return y;
-  }
-
-  // --- internal-state convenience view (single-consumer use) ---
-  [[nodiscard]] i32 process(i32 x) { return process(state_, x); }
-  void process_chunk(std::span<const i32> x, std::vector<i32>& y) {
-    process_chunk(state_, x, y);
-  }
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    return process_chunk(state_, x);
-  }
-  /// Whole-record transform: fresh state, then one chunk.
-  [[nodiscard]] std::vector<i32> process_block(std::span<const i32> x);
-  /// Reset the internal delay line to zeros.
-  void reset();
+  /// Per-sample reference path: push one sample, get the output.
+  [[nodiscard]] i32 process(i32 x);
+  /// Resumable chunked transform: continues from the carried delay line and
+  /// carries it forward — bit-identical to streaming the chunk through
+  /// process(). \p y is resized to the chunk length and must not alias \p x.
+  void process_chunk(std::span<const i32> x, std::vector<i32>& y);
+  /// Zero the delay line in place (no reallocation): the state of a fresh
+  /// record, reusable on the serving hot path (stream::Session::reset).
+  void reset() noexcept;
 
  private:
   std::vector<i32> taps_;
-  FirState state_;  ///< internal state backing the convenience view
+  /// Delay-line ring: `head_` is the next write slot, which always holds
+  /// the oldest retained sample.
+  std::vector<i32> delay_;
+  std::size_t head_ = 0;
   int out_shift_;
-  std::unique_ptr<arith::Kernel> owned_;  ///< UnitKernel adapter, if any
   arith::Kernel* kernel_;
   std::vector<i64> padded_;  ///< chunk scratch: history-prefixed input
   std::vector<i64> acc_;     ///< chunk scratch: accumulator chain
@@ -151,33 +92,20 @@ class FirStage {
 
 /// The squarer stage: y = (x * x) >> shift through the kernel's multiplier.
 /// The output keeps wide precision (it feeds the adder-only MWI stage); the
-/// shift keeps the downstream MWI sum inside its 32-bit adders.
+/// shift keeps the downstream MWI sum inside its 32-bit adders. Stateless.
 class SquarerStage {
  public:
   SquarerStage(int out_shift, arith::Kernel& kernel)
       : out_shift_(out_shift), kernel_(&kernel) {}
-  SquarerStage(int out_shift, arith::ArithmeticUnit& unit);
-
-  [[nodiscard]] static SqrState make_state() noexcept { return SqrState{}; }
 
   [[nodiscard]] i32 process(i32 x);
-  /// Stateless: chunked and whole-record views coincide. \p y must not
-  /// alias \p x.
+  /// \p y must not alias \p x.
   void process_chunk(std::span<const i32> x, std::vector<i32>& y);
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    std::vector<i32> y;
-    process_chunk(x, y);
-    return y;
-  }
-  [[nodiscard]] std::vector<i32> process_block(std::span<const i32> x) {
-    return process_chunk(x);
-  }
   void reset() noexcept {}
 
  private:
   int out_shift_;
-  std::unique_ptr<arith::Kernel> owned_;
-  arith::Kernel* kernel_ = nullptr;
+  arith::Kernel* kernel_;
   std::vector<i64> in_;  ///< chunk scratch: clamped operands, then products
 };
 
@@ -188,41 +116,19 @@ class SquarerStage {
 class MwiStage {
  public:
   MwiStage(int window, int out_shift, arith::Kernel& kernel);
-  MwiStage(int window, int out_shift, arith::ArithmeticUnit& unit);
 
-  /// A zeroed window sized for this stage.
-  [[nodiscard]] MwiState make_state() const {
-    return MwiState{std::vector<i32>(window_, 0), 0};
-  }
-
-  [[nodiscard]] i32 process(MwiState& st, i32 x);
+  [[nodiscard]] i32 process(i32 x);
   /// \p y must not alias \p x.
-  void process_chunk(MwiState& st, std::span<const i32> x, std::vector<i32>& y);
-  [[nodiscard]] std::vector<i32> process_chunk(MwiState& st, std::span<const i32> x) {
-    std::vector<i32> y;
-    process_chunk(st, x, y);
-    return y;
-  }
-
-  // --- internal-state convenience view ---
-  [[nodiscard]] i32 process(i32 x) { return process(state_, x); }
-  void process_chunk(std::span<const i32> x, std::vector<i32>& y) {
-    process_chunk(state_, x, y);
-  }
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    return process_chunk(state_, x);
-  }
-  [[nodiscard]] std::vector<i32> process_block(std::span<const i32> x);
-  void reset();
+  void process_chunk(std::span<const i32> x, std::vector<i32>& y);
+  /// Zero the window in place (no reallocation).
+  void reset() noexcept;
 
  private:
-  void validate_window(int window);
-
-  std::size_t window_ = 0;
-  MwiState state_;  ///< internal state backing the convenience view
+  /// Window ring, same conventions as FirStage's delay line.
+  std::vector<i32> window_;
+  std::size_t head_ = 0;
   int out_shift_;
-  std::unique_ptr<arith::Kernel> owned_;
-  arith::Kernel* kernel_ = nullptr;
+  arith::Kernel* kernel_;
   std::vector<i64> padded_;  ///< chunk scratch
   /// Chunk scratch: tree-level output buffers, ping-ponged by level parity
   /// so a level recycles its grandparent level's buffers (levels strictly

@@ -1,5 +1,6 @@
 #include "xbs/pantompkins/stages.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "xbs/common/fixed.hpp"
@@ -22,33 +23,28 @@ const StageInventory& stage_inventory(Stage s) noexcept {
 // ------------------------------------------------------------------- FirStage
 
 FirStage::FirStage(std::span<const int> taps, int out_shift, arith::Kernel& kernel)
-    : out_shift_(out_shift), kernel_(&kernel) {
+    : taps_(taps.begin(), taps.end()),
+      delay_(taps.size(), 0),
+      out_shift_(out_shift),
+      kernel_(&kernel) {
   if (taps.empty()) throw std::invalid_argument("FirStage: empty taps");
-  taps_.assign(taps.begin(), taps.end());
-  state_ = make_state();
 }
 
-FirStage::FirStage(std::span<const int> taps, int out_shift, arith::ArithmeticUnit& unit)
-    : out_shift_(out_shift),
-      owned_(std::make_unique<arith::UnitKernel>(unit)),
-      kernel_(owned_.get()) {
-  if (taps.empty()) throw std::invalid_argument("FirStage: empty taps");
-  taps_.assign(taps.begin(), taps.end());
-  state_ = make_state();
+void FirStage::reset() noexcept {
+  std::fill(delay_.begin(), delay_.end(), 0);
+  head_ = 0;
 }
 
-void FirStage::reset() { state_.reset(); }
-
-i32 FirStage::process(FirState& st, i32 x) {
-  st.delay[st.head] = x;
+i32 FirStage::process(i32 x) {
+  delay_[head_] = x;
   // Products in tap order (zero taps skipped), accumulated through a chain of
   // 32-bit adds — the same structure the netlist stage builder emits.
   i64 acc = 0;
   bool first = true;
-  std::size_t idx = st.head;
+  std::size_t idx = head_;
   for (const i32 c : taps_) {
     if (c != 0) {
-      const i64 p = kernel_->mul(c, st.delay[idx]);
+      const i64 p = kernel_->mul(c, delay_[idx]);
       if (first) {
         acc = p;
         first = false;
@@ -56,22 +52,22 @@ i32 FirStage::process(FirState& st, i32 x) {
         acc = kernel_->add(acc, p);
       }
     }
-    idx = (idx == 0) ? st.delay.size() - 1 : idx - 1;
+    idx = (idx == 0) ? delay_.size() - 1 : idx - 1;
   }
-  st.head = (st.head + 1) % st.delay.size();
+  head_ = (head_ + 1) % delay_.size();
   // Normalization shift (wiring) and 16-bit inter-stage register.
   return static_cast<i32>(saturate_to_bits(acc >> out_shift_, 16));
 }
 
-void FirStage::process_chunk(FirState& st, std::span<const i32> x, std::vector<i32>& y) {
+void FirStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
   const std::size_t taps = taps_.size();
   // History-prefixed copy of the input: the first T-1 elements are the last
   // T-1 carried samples oldest-first, element T-1+i is x[i]. Tap j of output
-  // i reads offset T-1-j+i — exactly the carried delay line of the streaming
-  // path (all zeros for a fresh state).
+  // i reads offset T-1-j+i — exactly the carried delay line of the
+  // per-sample path (all zeros for a fresh stage).
   padded_.resize(n + taps - 1);
-  ring_history_prefix(st.delay, st.head, padded_);
+  ring_history_prefix(delay_, head_, padded_);
   for (std::size_t i = 0; i < n; ++i) padded_[taps - 1 + i] = x[i];
   acc_.resize(n);
 
@@ -85,20 +81,10 @@ void FirStage::process_chunk(FirState& st, std::span<const i32> x, std::vector<i
     y[i] = static_cast<i32>(saturate_to_bits(acc_[i] >> out_shift_, 16));
   }
 
-  ring_carry(st.delay, st.head, x);
-}
-
-std::vector<i32> FirStage::process_block(std::span<const i32> x) {
-  reset();
-  return process_chunk(state_, x);
+  ring_carry(delay_, head_, x);
 }
 
 // --------------------------------------------------------------- SquarerStage
-
-SquarerStage::SquarerStage(int out_shift, arith::ArithmeticUnit& unit)
-    : out_shift_(out_shift),
-      owned_(std::make_unique<arith::UnitKernel>(unit)),
-      kernel_(owned_.get()) {}
 
 i32 SquarerStage::process(i32 x) {
   const i64 clamped = saturate_to_bits(x, 16);
@@ -118,37 +104,29 @@ void SquarerStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
 
 // ------------------------------------------------------------------- MwiStage
 
-void MwiStage::validate_window(int window) {
-  if (window < 2) throw std::invalid_argument("MwiStage: window must be >= 2");
-  window_ = static_cast<std::size_t>(window);
-  state_ = make_state();
-}
-
 MwiStage::MwiStage(int window, int out_shift, arith::Kernel& kernel)
     : out_shift_(out_shift), kernel_(&kernel) {
-  validate_window(window);
+  if (window < 2) throw std::invalid_argument("MwiStage: window must be >= 2");
+  window_.assign(static_cast<std::size_t>(window), 0);
 }
 
-MwiStage::MwiStage(int window, int out_shift, arith::ArithmeticUnit& unit)
-    : out_shift_(out_shift),
-      owned_(std::make_unique<arith::UnitKernel>(unit)),
-      kernel_(owned_.get()) {
-  validate_window(window);
+void MwiStage::reset() noexcept {
+  std::fill(window_.begin(), window_.end(), 0);
+  head_ = 0;
 }
 
-void MwiStage::reset() { state_.reset(); }
-
-i32 MwiStage::process(MwiState& st, i32 x) {
-  st.window[st.head] = x;
-  st.head = (st.head + 1) % st.window.size();
+i32 MwiStage::process(i32 x) {
+  const std::size_t w = window_.size();
+  window_[head_] = x;
+  head_ = (head_ + 1) % w;
   // Balanced feed-forward adder tree over the window contents, oldest first;
   // pairwise reduction order mirrors netlist::build_mwi_stage.
   std::vector<i64> terms;
-  terms.reserve(st.window.size());
-  std::size_t idx = st.head;  // oldest element
-  for (std::size_t i = 0; i < st.window.size(); ++i) {
-    terms.push_back(st.window[idx]);
-    idx = (idx + 1) % st.window.size();
+  terms.reserve(w);
+  std::size_t idx = head_;  // oldest element
+  for (std::size_t i = 0; i < w; ++i) {
+    terms.push_back(window_[idx]);
+    idx = (idx + 1) % w;
   }
   while (terms.size() > 1) {
     std::vector<i64> next;
@@ -162,18 +140,18 @@ i32 MwiStage::process(MwiState& st, i32 x) {
   return static_cast<i32>(saturate_i32(terms[0] >> out_shift_));
 }
 
-void MwiStage::process_chunk(MwiState& st, std::span<const i32> x, std::vector<i32>& y) {
+void MwiStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
-  const std::size_t w = window_;
+  const std::size_t w = window_.size();
   // History-prefixed input: for output i the window contents oldest-first
   // are term k = padded[i + k] (k = 0..w-1); the first w-1 elements are the
-  // carried window samples oldest-first — the same window the streaming path
-  // continues from (all zeros for a fresh state).
+  // carried window samples oldest-first — the same window the per-sample
+  // path continues from (all zeros for a fresh stage).
   padded_.resize(n + w - 1);
-  ring_history_prefix(st.window, st.head, padded_);
+  ring_history_prefix(window_, head_, padded_);
   for (std::size_t i = 0; i < n; ++i) padded_[w - 1 + i] = x[i];
 
-  // The streaming path's pairwise tree, one add_n per pair per level. Terms
+  // The per-sample path's pairwise tree, one add_n per pair per level. Terms
   // are spans over either the padded input (level 0, leftovers) or buffers
   // from the scratch pool; pairing order and odd-leftover placement mirror
   // process() exactly.
@@ -211,12 +189,7 @@ void MwiStage::process_chunk(MwiState& st, std::span<const i32> x, std::vector<i
     y[i] = static_cast<i32>(saturate_i32(sum[i] >> out_shift_));
   }
 
-  ring_carry(st.window, st.head, x);
-}
-
-std::vector<i32> MwiStage::process_block(std::span<const i32> x) {
-  reset();
-  return process_chunk(state_, x);
+  ring_carry(window_, head_, x);
 }
 
 // ------------------------------------------------------------- StageProcessor

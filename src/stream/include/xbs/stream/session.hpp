@@ -9,10 +9,10 @@
 /// detector parameters + retention options), accepts arbitrarily sized
 /// sample chunks via push(), and returns the QRS decisions those samples
 /// finalized. Internally it owns one kernel and one resumable StageProcessor
-/// per pipeline stage (explicit carry-over state) plus an OnlineDetector, so
-/// memory stays bounded for unbounded streams while output remains
-/// bit-identical to the whole-record PanTompkinsPipeline::run for any
-/// chunking — one sample at a time included.
+/// per pipeline stage (each carrying its delay/window ring) plus an
+/// OnlineDetector, so memory stays bounded for unbounded streams while
+/// output remains bit-identical to the whole-record PanTompkinsPipeline::run
+/// for any chunking — one sample at a time included.
 #pragma once
 
 #include <array>

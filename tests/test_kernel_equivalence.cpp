@@ -1,15 +1,15 @@
-// Property tests: the batched kernels (exact and approximate backends) are
-// bit-identical to the legacy scalar ExactUnit/ApproxUnit datapath across
-// random operands and every (AdderKind, MultKind, approx_lsbs) combination,
-// and the stage block transforms are bit-identical to streaming the same
-// samples through the scalar path — including operation counts.
+// Property tests: the batched kernel ops (exact and approximate backends)
+// are bit-identical to the counted scalar ops of a separate kernel — the
+// table-free reference datapath — across random operands and every
+// (AdderKind, MultKind, approx_lsbs) combination, and each stage's chunked
+// transform is bit-identical to streaming the same samples through its
+// per-sample process(x) — including operation counts.
 #include <gtest/gtest.h>
 
 #include <tuple>
 #include <vector>
 
 #include "xbs/arith/kernel.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/ecg/dataset.hpp"
@@ -40,10 +40,10 @@ std::vector<i64> random_mult_operands(Rng& rng, std::size_t n) {
 class KernelEquivalence
     : public ::testing::TestWithParam<std::tuple<AdderKind, MultKind, int>> {};
 
-TEST_P(KernelEquivalence, BatchedMatchesScalarUnit) {
+TEST_P(KernelEquivalence, BatchedMatchesScalarOps) {
   const auto [add_kind, mult_kind, lsbs] = GetParam();
   const StageArithConfig cfg = StageArithConfig::uniform(lsbs, add_kind, mult_kind);
-  ApproxUnit unit(cfg);
+  ApproxKernel scalar(cfg);
   const std::unique_ptr<Kernel> kernel = make_kernel(cfg);
   Rng rng(77 + static_cast<u64>(lsbs) * 31 + static_cast<u64>(add_kind) * 7 +
           static_cast<u64>(mult_kind));
@@ -56,24 +56,24 @@ TEST_P(KernelEquivalence, BatchedMatchesScalarUnit) {
     std::vector<i64> out(n);
 
     kernel->add_n(a, b, out);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.add(a[i], b[i])) << i;
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], scalar.add(a[i], b[i])) << i;
 
     kernel->sub_n(a, b, out);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.sub(a[i], b[i])) << i;
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], scalar.sub(a[i], b[i])) << i;
 
     kernel->mul_n(ma, mb, out);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.mul(ma[i], mb[i])) << i;
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], scalar.mul(ma[i], mb[i])) << i;
 
     // Constant-coefficient multiply and fused MAC against the scalar chain,
     // for positive, negative and zero coefficients.
     for (const i64 c : {i64{31}, i64{-6}, i64{0}, i64{-32768}}) {
       kernel->mul_cn(c, ma, out);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.mul(c, ma[i])) << i;
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], scalar.mul(c, ma[i])) << i;
 
       std::vector<i64> acc = a;
       kernel->mac_n(c, ma, acc);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(acc[i], unit.add(a[i], unit.mul(c, ma[i]))) << i;
+        EXPECT_EQ(acc[i], scalar.add(a[i], scalar.mul(c, ma[i]))) << i;
       }
     }
   }
@@ -87,11 +87,11 @@ TEST_P(KernelEquivalence, BatchedMatchesScalarUnit) {
     std::vector<i64> out(kShortLen);
     for (const i64 c : {i64{31}, i64{-6}}) {
       kernel->mul_cn(c, ma, out);
-      for (std::size_t i = 0; i < kShortLen; ++i) EXPECT_EQ(out[i], unit.mul(c, ma[i])) << i;
+      for (std::size_t i = 0; i < kShortLen; ++i) EXPECT_EQ(out[i], scalar.mul(c, ma[i])) << i;
       std::vector<i64> acc = a;
       kernel->mac_n(c, ma, acc);
       for (std::size_t i = 0; i < kShortLen; ++i) {
-        EXPECT_EQ(acc[i], unit.add(a[i], unit.mul(c, ma[i]))) << i;
+        EXPECT_EQ(acc[i], scalar.add(a[i], scalar.mul(c, ma[i]))) << i;
       }
     }
   }
@@ -103,8 +103,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kAllMultKinds),
                        ::testing::Values(0, 2, 5, 8, 16)));
 
-TEST(KernelEquivalence, ExactKernelMatchesExactUnit) {
-  ExactUnit unit;
+TEST(KernelEquivalence, ExactBatchedMatchesScalarOps) {
+  ExactKernel scalar;
   ExactKernel kernel;
   Rng rng(5);
   const std::vector<i64> a = random_adder_operands(rng, kBlockLen);
@@ -114,15 +114,15 @@ TEST(KernelEquivalence, ExactKernelMatchesExactUnit) {
   std::vector<i64> out(kBlockLen);
 
   kernel.add_n(a, b, out);
-  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], unit.add(a[i], b[i]));
+  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], scalar.add(a[i], b[i]));
   kernel.sub_n(a, b, out);
-  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], unit.sub(a[i], b[i]));
+  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], scalar.sub(a[i], b[i]));
   kernel.mul_n(ma, mb, out);
-  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], unit.mul(ma[i], mb[i]));
+  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], scalar.mul(ma[i], mb[i]));
   std::vector<i64> acc = a;
   kernel.mac_n(-7, ma, acc);
   for (std::size_t i = 0; i < kBlockLen; ++i) {
-    EXPECT_EQ(acc[i], unit.add(a[i], unit.mul(-7, ma[i])));
+    EXPECT_EQ(acc[i], scalar.add(a[i], scalar.mul(-7, ma[i])));
   }
 }
 
@@ -151,25 +151,36 @@ std::vector<i32> sample_signal(std::size_t n, u64 seed) {
   return x;
 }
 
-class StageBlockEquivalence : public ::testing::TestWithParam<int> {};
+/// Every adder kind at three LSB depths: AMA4/AMA5 run the FIR as fir_n's
+/// product rows over carry-free adds, the other kinds take fir_n's per-tap
+/// chain (mul_cn's table walk plus mac_n over the simulated adder).
+class StageBlockEquivalence
+    : public ::testing::TestWithParam<std::tuple<AdderKind, int>> {
+ protected:
+  [[nodiscard]] static arith::StageArithConfig config() {
+    const auto [add_kind, lsbs] = GetParam();
+    return arith::StageArithConfig::uniform(lsbs, add_kind);
+  }
+};
 
 TEST_P(StageBlockEquivalence, FirBlockMatchesStreaming) {
-  const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(GetParam());
+  const arith::StageArithConfig cfg = config();
   const std::vector<i32> x = sample_signal(900, 3);
 
-  arith::ApproxUnit scalar_unit(cfg);
-  FirStage scalar(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, scalar_unit);
+  arith::ApproxKernel scalar_kernel(cfg);
+  FirStage scalar(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, scalar_kernel);
   std::vector<i32> want;
   for (const i32 v : x) want.push_back(scalar.process(v));
 
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
   FirStage block(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, *kernel);
-  const std::vector<i32> got = block.process_block(x);
+  std::vector<i32> got;
+  block.process_chunk(x, got);
 
   EXPECT_EQ(got, want);
-  EXPECT_EQ(kernel->counts(), scalar_unit.counts());
+  EXPECT_EQ(kernel->counts(), scalar_kernel.counts());
 
-  // The block transform leaves the stage in streaming state: continuing
+  // The chunked transform leaves the stage in streaming state: continuing
   // sample-by-sample must agree with the pure streaming run.
   for (const i32 v : {1000, -2000, 3000}) {
     EXPECT_EQ(block.process(v), scalar.process(v));
@@ -177,66 +188,102 @@ TEST_P(StageBlockEquivalence, FirBlockMatchesStreaming) {
 }
 
 TEST_P(StageBlockEquivalence, MwiBlockMatchesStreaming) {
-  const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(GetParam());
+  const arith::StageArithConfig cfg = config();
   std::vector<i32> x = sample_signal(500, 4);
   for (i32& v : x) v = v < 0 ? -v : v;  // MWI input (squared signal) is non-negative
 
-  arith::ApproxUnit scalar_unit(cfg);
-  MwiStage scalar(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, scalar_unit);
+  arith::ApproxKernel scalar_kernel(cfg);
+  MwiStage scalar(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, scalar_kernel);
   std::vector<i32> want;
   for (const i32 v : x) want.push_back(scalar.process(v));
 
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
   MwiStage block(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, *kernel);
-  const std::vector<i32> got = block.process_block(x);
+  std::vector<i32> got;
+  block.process_chunk(x, got);
 
   EXPECT_EQ(got, want);
-  EXPECT_EQ(kernel->counts(), scalar_unit.counts());
+  EXPECT_EQ(kernel->counts(), scalar_kernel.counts());
   for (const i32 v : {500, 700, 900}) {
     EXPECT_EQ(block.process(v), scalar.process(v));
   }
 }
 
 TEST_P(StageBlockEquivalence, SquarerBlockMatchesStreaming) {
-  const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(GetParam());
+  const arith::StageArithConfig cfg = config();
   const std::vector<i32> x = sample_signal(600, 5);
 
-  arith::ApproxUnit scalar_unit(cfg);
-  SquarerStage scalar(dsp::pt::kSqrShift, scalar_unit);
+  arith::ApproxKernel scalar_kernel(cfg);
+  SquarerStage scalar(dsp::pt::kSqrShift, scalar_kernel);
   std::vector<i32> want;
   for (const i32 v : x) want.push_back(scalar.process(v));
 
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
   SquarerStage block(dsp::pt::kSqrShift, *kernel);
-  EXPECT_EQ(block.process_block(x), want);
-  EXPECT_EQ(kernel->counts(), scalar_unit.counts());
+  std::vector<i32> got;
+  block.process_chunk(x, got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(kernel->counts(), scalar_kernel.counts());
 }
 
-INSTANTIATE_TEST_SUITE_P(Lsbs, StageBlockEquivalence, ::testing::Values(0, 4, 10));
+INSTANTIATE_TEST_SUITE_P(KindsAndLsbs, StageBlockEquivalence,
+                         ::testing::Combine(::testing::ValuesIn(kAllAdderKinds),
+                                            ::testing::Values(0, 4, 10)));
+
+TEST(StageShortChunkEquivalence, OneWarmTapTakesTheTapChain) {
+  // Below the table-build threshold (512 samples) fir_n uses only tables
+  // that are already warm. With one LPF coefficient warm and the others cold
+  // it runs the per-tap chain: scalar multiplies for the cold taps and the
+  // warm coefficient's mac_n as a table walk. No other test in this binary
+  // uses 7 LSBs, so every other tap's table is cold here.
+  constexpr int kWarmCoeff = 4;
+  const std::vector<i32> x = sample_signal(200, 6);
+  for (const AdderKind add_kind : kAllAdderKinds) {
+    const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(7, add_kind);
+    (void)arith::get_signed_coeff_products(cfg.mult, kWarmCoeff);
+    for (const int c : dsp::pt::kLpfTaps) {
+      if (c == kWarmCoeff) continue;
+      ASSERT_EQ(arith::peek_signed_coeff_products(cfg.mult, c), nullptr)
+          << to_string(add_kind) << " c=" << c;
+    }
+
+    arith::ApproxKernel scalar_kernel(cfg);
+    FirStage scalar(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, scalar_kernel);
+    std::vector<i32> want;
+    for (const i32 v : x) want.push_back(scalar.process(v));
+
+    const arith::TableCacheStats before = arith::table_cache_stats();
+    arith::ApproxKernel kernel(cfg);
+    FirStage block(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
+    std::vector<i32> got;
+    block.process_chunk(x, got);
+
+    EXPECT_EQ(got, want) << to_string(add_kind);
+    EXPECT_EQ(kernel.counts(), scalar_kernel.counts()) << to_string(add_kind);
+    // The short chunk built no table: the cold taps stayed cold.
+    EXPECT_EQ(arith::table_cache_stats(), before) << to_string(add_kind);
+  }
+}
 
 TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
   // End-to-end: the block pipeline must equal streaming every stage sample
-  // by sample through scalar units — the legacy datapath, reconstructed.
+  // by sample through the kernels' counted scalar ops.
   const auto rec = ecg::nsrdb_like_digitized(0, 4000);
   const auto cfg = PipelineConfig::from_lsbs({10, 12, 2, 8, 16});
 
   const PanTompkinsPipeline pipe(cfg);
   const PipelineResult block = pipe.run_filters(rec.adu);
 
-  std::array<std::unique_ptr<arith::ArithmeticUnit>, kNumStages> units;
+  std::array<std::unique_ptr<arith::Kernel>, kNumStages> kernels;
   for (int s = 0; s < kNumStages; ++s) {
-    const auto& sc = cfg.stage[static_cast<std::size_t>(s)];
-    if (sc.is_exact()) {
-      units[static_cast<std::size_t>(s)] = std::make_unique<arith::ExactUnit>();
-    } else {
-      units[static_cast<std::size_t>(s)] = std::make_unique<arith::ApproxUnit>(sc);
-    }
+    kernels[static_cast<std::size_t>(s)] =
+        arith::make_kernel(cfg.stage[static_cast<std::size_t>(s)]);
   }
-  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, *units[0]);
-  FirStage hpf(dsp::pt::kHpfTaps, dsp::pt::kHpfShift, *units[1]);
-  FirStage der(dsp::pt::kDerTaps, dsp::pt::kDerShift, *units[2]);
-  SquarerStage sqr(dsp::pt::kSqrShift, *units[3]);
-  MwiStage mwi(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, *units[4]);
+  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, *kernels[0]);
+  FirStage hpf(dsp::pt::kHpfTaps, dsp::pt::kHpfShift, *kernels[1]);
+  FirStage der(dsp::pt::kDerTaps, dsp::pt::kDerShift, *kernels[2]);
+  SquarerStage sqr(dsp::pt::kSqrShift, *kernels[3]);
+  MwiStage mwi(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, *kernels[4]);
 
   for (std::size_t i = 0; i < rec.adu.size(); ++i) {
     const i32 a = lpf.process(rec.adu[i]);
@@ -252,7 +299,7 @@ TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
   }
   for (int s = 0; s < kNumStages; ++s) {
     EXPECT_EQ(block.ops[static_cast<std::size_t>(s)],
-              units[static_cast<std::size_t>(s)]->counts())
+              kernels[static_cast<std::size_t>(s)]->counts())
         << to_string(kAllStages[static_cast<std::size_t>(s)]);
   }
 }

@@ -28,11 +28,10 @@ TEST(Pipeline, AccurateDetects100Percent) {
   EXPECT_DOUBLE_EQ(accuracy(PipelineConfig::accurate(), 4, 10000), 100.0);
 }
 
-TEST(Pipeline, ApproxUnitAtZeroLsbsBitIdenticalToExact) {
-  // Force the ApproxUnit path with k=0 on one stage by using an approximate
-  // kind with zero approximated LSBs... k=0 means the exact fast path is
-  // taken; instead configure k>0 with *accurate* elementary modules, which
-  // must also be bit-identical to exact.
+TEST(Pipeline, AccurateModulesAtTwelveLsbsBitIdenticalToExact) {
+  // k = 0 would build the exact kernel, so run the approximate kernel with
+  // k = 12 over *accurate* elementary modules instead: it must be
+  // bit-identical to the exact pipeline.
   const auto rec = ecg::nsrdb_like_digitized(0, 6000);
   const PanTompkinsPipeline exact;
   PipelineConfig cfg;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "xbs/arith/kernel.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/dsp/pt_reference.hpp"
@@ -32,8 +33,8 @@ TEST(Inventory, MatchesPaperCounts) {
 TEST(FirStage, MatchesDoubleReferenceWithinQuantization) {
   // Exact-datapath LPF vs the double-precision reference (gain 36 vs >>5):
   // outputs must track within integer truncation error of the shift.
-  arith::ExactUnit unit;
-  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, unit);
+  arith::ExactKernel kernel;
+  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
   std::vector<double> x;
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
@@ -49,25 +50,25 @@ TEST(FirStage, MatchesDoubleReferenceWithinQuantization) {
 }
 
 TEST(FirStage, OutputSaturatesTo16Bit) {
-  arith::ExactUnit unit;
-  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, unit);
+  arith::ExactKernel kernel;
+  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
   i32 y = 0;
   for (int i = 0; i < 30; ++i) y = lpf.process(32767);  // step of full-scale
   EXPECT_EQ(y, 32767);  // 36*32767>>5 would exceed: must clamp
 }
 
 TEST(FirStage, ZeroTapsSkipped) {
-  arith::ExactUnit unit;
-  FirStage der(dsp::pt::kDerTaps, dsp::pt::kDerShift, unit);
+  arith::ExactKernel kernel;
+  FirStage der(dsp::pt::kDerTaps, dsp::pt::kDerShift, kernel);
   for (int i = 0; i < 100; ++i) (void)der.process(1000);
   // 4 non-zero taps -> 4 multiplies, 3 adds per sample.
-  EXPECT_EQ(unit.counts().mults, 400u);
-  EXPECT_EQ(unit.counts().adds, 300u);
+  EXPECT_EQ(kernel.counts().mults, 400u);
+  EXPECT_EQ(kernel.counts().adds, 300u);
 }
 
 TEST(FirStage, ResetRestoresInitialState) {
-  arith::ExactUnit unit;
-  FirStage f(dsp::pt::kDerTaps, dsp::pt::kDerShift, unit);
+  arith::ExactKernel kernel;
+  FirStage f(dsp::pt::kDerTaps, dsp::pt::kDerShift, kernel);
   const i32 first = f.process(5000);
   (void)f.process(-3000);
   f.reset();
@@ -75,8 +76,8 @@ TEST(FirStage, ResetRestoresInitialState) {
 }
 
 TEST(Squarer, SquaresAndShifts) {
-  arith::ExactUnit unit;
-  SquarerStage sqr(dsp::pt::kSqrShift, unit);
+  arith::ExactKernel kernel;
+  SquarerStage sqr(dsp::pt::kSqrShift, kernel);
   EXPECT_EQ(sqr.process(100), (100 * 100) >> dsp::pt::kSqrShift);
   EXPECT_EQ(sqr.process(-100), (100 * 100) >> dsp::pt::kSqrShift);  // always positive
   EXPECT_EQ(sqr.process(0), 0);
@@ -85,8 +86,8 @@ TEST(Squarer, SquaresAndShifts) {
 }
 
 TEST(Mwi, MatchesRunningSumShifted) {
-  arith::ExactUnit unit;
-  MwiStage mwi(4, 2, unit);  // window 4, >>2 == /4 exactly
+  arith::ExactKernel kernel;
+  MwiStage mwi(4, 2, kernel);  // window 4, >>2 == /4 exactly
   const std::vector<i32> xs = {4, 8, 12, 16, 20, 24};
   std::vector<i32> got;
   for (const i32 x : xs) got.push_back(mwi.process(x));
@@ -100,23 +101,23 @@ TEST(Mwi, MatchesRunningSumShifted) {
 }
 
 TEST(Mwi, AdderOnlyOpCounts) {
-  arith::ExactUnit unit;
-  MwiStage mwi(30, dsp::pt::kMwiShift, unit);
+  arith::ExactKernel kernel;
+  MwiStage mwi(30, dsp::pt::kMwiShift, kernel);
   for (int i = 0; i < 10; ++i) (void)mwi.process(100);
-  EXPECT_EQ(unit.counts().mults, 0u);
-  EXPECT_EQ(unit.counts().adds, 290u);  // 29 adds per sample
+  EXPECT_EQ(kernel.counts().mults, 0u);
+  EXPECT_EQ(kernel.counts().adds, 290u);  // 29 adds per sample
 }
 
 TEST(Mwi, InvalidWindowThrows) {
-  arith::ExactUnit unit;
-  EXPECT_THROW(MwiStage(1, 0, unit), std::invalid_argument);
+  arith::ExactKernel kernel;
+  EXPECT_THROW(MwiStage(1, 0, kernel), std::invalid_argument);
 }
 
-TEST(ApproxUnitVsExact, IdenticalAtZeroLsbs) {
+TEST(ApproxKernelVsExactKernel, IdenticalAtZeroLsbs) {
   // The bit-accurate datapath with k = 0 must match native arithmetic
   // exactly — the foundational correctness property of the whole pipeline.
-  arith::ExactUnit exact;
-  arith::ApproxUnit approx(arith::StageArithConfig::uniform(0));
+  arith::ExactKernel exact;
+  arith::ApproxKernel approx(arith::StageArithConfig::uniform(0));
   Rng rng(9);
   for (int t = 0; t < 2000; ++t) {
     const i64 a = rng.uniform_int(-2000000, 2000000);
