@@ -5,6 +5,11 @@
 // The `configs` array additionally reports the batched exact-vs-approximate
 // per-op gap for every elementary MultKind x ApproxPolicy combination, so
 // regressions in any table-compilation path are visible per configuration.
+// `cold_build_ms_p50` is the median warm_pipeline_tables time of 8
+// never-built configs of the churn shape {k, k-1, 0, 0, 0} (AMA4/AMA5,
+// k = 2, 4, ..., 16), timed before anything else builds a table; the
+// checksum over every table they built is read through each usable ISA
+// tier's gather and must agree across tiers.
 //
 //   ./bench_micro_kernel [--samples N] [--iters K] [--lsbs L]
 //
@@ -24,6 +29,7 @@
 #include "xbs/arith/kernel.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/dsp/pt_coeffs.hpp"
+#include "xbs/pantompkins/pipeline.hpp"
 #include "xbs/pantompkins/stages.hpp"
 
 namespace {
@@ -93,6 +99,60 @@ PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int ite
   return r;
 }
 
+struct ColdBuild {
+  int configs = 0;
+  double ms_p50 = 0.0;
+  u64 checksum = 0;  ///< baseline tier's gather of every built table
+  bool checksum_match = true;
+};
+
+/// Time the table build of never-built configs, one warm_pipeline_tables
+/// call each — must run before anything else in the process builds tables.
+ColdBuild run_cold_build() {
+  std::vector<pantompkins::PipelineConfig> cfgs;
+  for (int k = 2; k <= 16; k += 2) {
+    const AdderKind ak = (k / 2) % 2 == 0 ? AdderKind::Approx5 : AdderKind::Approx4;
+    cfgs.push_back(pantompkins::PipelineConfig::from_lsbs({k, k - 1, 0, 0, 0}, ak));
+  }
+  ColdBuild r;
+  r.configs = static_cast<int>(cfgs.size());
+  std::vector<double> ms;
+  for (const pantompkins::PipelineConfig& cfg : cfgs) {
+    const double t0 = now_s();
+    pantompkins::warm_pipeline_tables(cfg);
+    ms.push_back((now_s() - t0) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  r.ms_p50 = (ms[ms.size() / 2 - 1] + ms[ms.size() / 2]) / 2;
+
+  // Every signed table the builds produced (warm now), gathered in full
+  // through each usable tier.
+  std::vector<std::shared_ptr<const arith::TableVec>> tables;
+  for (const pantompkins::PipelineConfig& cfg : cfgs) {
+    for (const int c : dsp::pt::kLpfTaps) {
+      tables.push_back(arith::get_signed_coeff_products(cfg.stage[0].mult, c));
+    }
+    for (const int c : {-1, 31}) {  // the HPF's distinct taps
+      tables.push_back(arith::get_signed_coeff_products(cfg.stage[1].mult, c));
+    }
+  }
+  const std::size_t n = std::size_t{1} << 16;
+  std::vector<i64> index(n), out(n);
+  for (std::size_t i = 0; i < n; ++i) index[i] = static_cast<i64>(i);
+  for (const arith::Isa isa : arith::kAllIsas) {  // baseline first
+    const arith::KernelOps* ops = arith::kernel_ops_for(isa);
+    if (ops == nullptr) continue;
+    u64 h = 0;
+    for (const auto& t : tables) {
+      ops->gather_lut_n(t->data(), n - 1, index.data(), out.data(), n);
+      h = (h * 1099511628211ull) ^ checksum_of(out);
+    }
+    if (isa == arith::Isa::Baseline) r.checksum = h;
+    r.checksum_match = r.checksum_match && h == r.checksum;
+  }
+  return r;
+}
+
 int arg_int(int argc, char** argv, const char* name, int fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) return std::atoi(argv[i + 1]);
@@ -106,6 +166,8 @@ int main(int argc, char** argv) {
   const int samples = std::max(1, arg_int(argc, argv, "--samples", 10000));
   const int iters = std::max(1, arg_int(argc, argv, "--iters", 5));
   const int lsbs = std::clamp(arg_int(argc, argv, "--lsbs", 8), 0, 16);
+
+  const ColdBuild cold = run_cold_build();  // first: every config never built
 
   Rng rng(42);
   std::vector<i32> x(static_cast<std::size_t>(samples));
@@ -260,13 +322,19 @@ int main(int argc, char** argv) {
       "  \"checksum_exact_match\": %s,\n"
       "  \"checksum_approx_match\": %s,\n"
       "  \"isa_ops_lsbs\": %d,\n"
+      "  \"cold_build_configs\": %d,\n"
+      "  \"cold_build_ms_p50\": %.2f,\n"
+      "  \"cold_build_checksum\": \"%016llx\",\n"
+      "  \"cold_build_checksum_match\": %s,\n"
       "  \"configs\": [\n",
       static_cast<int>(to_string(arith::kernel_isa().selected).size()),
       to_string(arith::kernel_isa().selected).data(),
       samples, iters, lsbs, scalar_exact.samples_per_sec, batched_exact.samples_per_sec,
       scalar_approx.samples_per_sec, batched_approx.samples_per_sec, speedup_exact,
       speedup_approx, scalar_exact.checksum == batched_exact.checksum ? "true" : "false",
-      scalar_approx.checksum == batched_approx.checksum ? "true" : "false", isa_ops_lsbs);
+      scalar_approx.checksum == batched_approx.checksum ? "true" : "false", isa_ops_lsbs,
+      cold.configs, cold.ms_p50, static_cast<unsigned long long>(cold.checksum),
+      cold.checksum_match ? "true" : "false");
   bool rows_match = true;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ConfigRow& r = rows[i];
@@ -298,7 +366,7 @@ int main(int argc, char** argv) {
   // CI smoke runs catch it.
   return (scalar_exact.checksum == batched_exact.checksum &&
           scalar_approx.checksum == batched_approx.checksum && rows_match &&
-          isa_rows_match)
+          isa_rows_match && cold.checksum_match)
              ? 0
              : 1;
 }

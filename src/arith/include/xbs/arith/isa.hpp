@@ -89,8 +89,14 @@ IsaSelection force_kernel_isa_auto();
 
 // ----------------------------------------------------------- dispatch seam
 
-/// Parameters of the carry-free wired-add closed form, decoded once per
-/// kernel construction (see ApproxKernel::AddFastPath in kernel.hpp).
+/// Parameters of the carry-free wired-add closed form (AMA4/AMA5), decoded
+/// once per ApproxKernel construction (kernel.hpp).
+///
+/// Precondition of every wired_add_n tier: approx_bits >= 1. The loops read
+/// A's bit approx_bits - 1 as the carry into the accurate region, so 0
+/// would shift by -1 (undefined); the exact add is not a wired add.
+/// ApproxKernel passes approx_bits in [1, w] and asserts it; values above w
+/// behave as w (the whole word approximate).
 struct WiredAddParams {
   int width = 32;        ///< adder width w
   int approx_bits = 0;   ///< k: approximate LSB region, in [1, w]
@@ -105,8 +111,9 @@ struct KernelOps {
   /// (the in-place SQR walk); `table` never aliases either.
   void (*gather_lut_n)(const i64* table, u64 mask, const i64* x, i64* out,
                        std::size_t n);
-  /// out[i] = wired_add(a[i], b[i]) under \p p. `out` may alias `a` or `b`
-  /// element-wise (the FIR row accumulate runs in place).
+  /// out[i] = wired_add(a[i], b[i]) under \p p (p.approx_bits >= 1, see
+  /// WiredAddParams). `out` may alias `a` or `b` element-wise (the FIR row
+  /// accumulate runs in place).
   void (*wired_add_n)(const i64* a, const i64* b, i64* out, std::size_t n,
                       const WiredAddParams& p);
 };

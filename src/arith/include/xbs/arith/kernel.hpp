@@ -258,22 +258,13 @@ class ApproxKernel final : public Kernel {
   /// Same policy for the per-config square table (mul_n with a == b).
   [[nodiscard]] const i64* square_table(std::size_t n) const;
 
-  /// Closed-form evaluation of the adder's approximate low region, decoded
-  /// once at construction. AMA5 (Sum=B, Cout=A) and AMA4 (Sum=NOT A, Cout=A)
-  /// have no carry chain through the approximated LSBs, so the whole add
-  /// collapses to masks plus one native add of the accurate high region —
-  /// bit-identical to the per-FA simulation (tests/test_kernel_equivalence).
-  enum class AddFastPath { Generic, SumIsB, SumIsNotA };
-  [[nodiscard]] i64 add_signed_fast(i64 a, i64 b) const noexcept;
-  [[nodiscard]] i64 sub_signed_fast(i64 a, i64 b) const noexcept;
-  [[nodiscard]] i64 wired_add(u64 ua, u64 ub) const noexcept;
-
   StageArithConfig cfg_;
+  /// The adder model (word-level, approx_add_u): the scalar ops, the
+  /// generic kinds' batched adds and the FIR tap-chain fallback.
   RippleCarryAdder adder_;
-  AddFastPath add_path_ = AddFastPath::Generic;
-  int approx_bits_ = 0;  ///< adder LSBs in the approximate region (clamped)
-  /// Decoded wired-add parameters handed to the dispatched vector loops
-  /// (valid only when add_path_ != Generic).
+  /// AMA4/AMA5 over a non-empty approximate region: batched adds run the
+  /// dispatched carry-free wired-add loops with `wired_params_`.
+  bool wired_ = false;
   WiredAddParams wired_params_{};
   std::shared_ptr<const RecursiveMultiplier> mult_owner_;
   const RecursiveMultiplier* mult_;  ///< hoisted raw pointer for the loops

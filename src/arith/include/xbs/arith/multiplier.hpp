@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "xbs/arith/rca.hpp"
@@ -31,8 +32,10 @@ struct MultiplierConfig {
 ///
 /// Evaluation is bit-identical to simulating the module-level netlist
 /// (cross-validated in tests) but memoizes the 4x4 and 8x8 sub-multiplier
-/// functions in lookup tables, making a 16x16 multiply a handful of table
-/// lookups plus three 32-bit ripple-carry adds.
+/// functions in lookup tables, making a 16x16 multiply four table lookups
+/// plus three word-level 32-bit adds (approx_add_u, O(1) per add). Building
+/// a model costs the LUT4s (a few thousand recursive evaluations) and the
+/// LUT8s: 64K entries per base offset, each four LUT4 loads and three adds.
 class RecursiveMultiplier {
  public:
   explicit RecursiveMultiplier(const MultiplierConfig& cfg);
@@ -43,6 +46,16 @@ class RecursiveMultiplier {
   /// 2*width-bit product of the (approximate) array.
   [[nodiscard]] u64 multiply_u(u64 a, u64 b) const noexcept;
 
+  /// Product row out[b] = multiply_u(a, b) for b in [0, out.size()),
+  /// out.size() <= 2^width. On a 16x16 model the 8x8 LUT slices of \p a are
+  /// resolved once, so each entry is four loads and three adds — the builder
+  /// of the per-coefficient product tables (kernel.hpp).
+  void multiply_row(u64 a, std::span<i64> out) const noexcept;
+
+  /// Square diagonal out[m] = multiply_u(m, m) for m in [0, out.size()),
+  /// out.size() <= 2^width — the builder of the per-config square table.
+  void multiply_diagonal(std::span<i64> out) const noexcept;
+
   /// Signed multiply via the sign-magnitude wrapper the paper's RTL uses
   /// around the unsigned array (operands truncated to `width`-bit signed).
   [[nodiscard]] i64 multiply_signed(i64 a, i64 b) const noexcept;
@@ -50,14 +63,22 @@ class RecursiveMultiplier {
   /// Reference exact product (for error measurements).
   [[nodiscard]] u64 exact_u(u64 a, u64 b) const noexcept;
 
+  /// The memoized 8x8 sub-multiplier at base weight offset \p base, indexed
+  /// by (a << 8) | b; empty when the model holds none there (widths below
+  /// 16, or a base no 8x8 block sits at). Lets tests check every entry.
+  [[nodiscard]] std::span<const u16> lut8(int base) const noexcept {
+    const u16* t = find_lut8(base);
+    return t != nullptr ? std::span<const u16>(t, 65536) : std::span<const u16>();
+  }
+
  private:
   /// Simulate a sub-multiplier of size n whose operand slices sit at bit
   /// offsets (off_a, off_b). Returns the raw 2n-bit (approximate) product.
   [[nodiscard]] u64 simulate(int n, u64 a, u64 b, int off_a, int off_b) const noexcept;
 
-  /// Combine four sub-products with three 2n-bit adders at weight offset
-  /// off_a + off_b (P = LL + ((HL + LH) << h) + (HH << n)).
-  [[nodiscard]] u64 combine(int n, u64 ll, u64 hl, u64 lh, u64 hh, int base) const noexcept;
+  /// out[i] = multiply_u(operand_a(i), i) over the half-width LUTs.
+  template <class OperandA>
+  void fill_products(std::span<i64> out, OperandA operand_a) const noexcept;
 
   MultiplierConfig cfg_;
   // Memoized sub-multiplier functions keyed by base weight offset
@@ -82,9 +103,11 @@ class RecursiveMultiplier {
 };
 
 /// Process-wide cache of multiplier behavioural models: exploration sweeps
-/// re-use configurations heavily, and each model owns non-trivial lookup
-/// tables. Thread-compatible (not thread-safe): the explorers are
-/// single-threaded by design for determinism.
+/// and serving sessions re-use configurations heavily, and each model owns
+/// non-trivial lookup tables. Thread-safe: lookups and inserts are
+/// serialized by a leaf mutex (hit concurrently by stream sessions and the
+/// parallel explorers), a miss builds the model under it (a 16x16 model's
+/// LUTs take a millisecond or two), and published models are immutable.
 [[nodiscard]] std::shared_ptr<const RecursiveMultiplier> get_multiplier(
     const MultiplierConfig& cfg);
 

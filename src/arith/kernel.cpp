@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 
 #include "xbs/arith/isa.hpp"
 #include "xbs/common/bitops.hpp"
@@ -156,49 +157,19 @@ ApproxKernel::ApproxKernel(const StageArithConfig& cfg)
       adder_(cfg.adder),
       mult_owner_(get_multiplier(cfg.mult)),
       mult_(mult_owner_.get()) {
-  // Decode the adder once: the carry-free mirror adders evaluate in closed
-  // form (see AddFastPath). Positions below `approx_bits_` are approximate.
-  approx_bits_ = std::clamp(cfg.adder.approx_lsbs - cfg.adder.weight_offset, 0,
-                            cfg.adder.width);
-  if (approx_bits_ > 0 && cfg.adder.width <= 63) {
-    if (cfg.adder.kind == AdderKind::Approx5) add_path_ = AddFastPath::SumIsB;
-    if (cfg.adder.kind == AdderKind::Approx4) add_path_ = AddFastPath::SumIsNotA;
+  // The carry-free mirror adders (AMA4: Sum = NOT A, AMA5: Sum = B, both
+  // Cout = A) batch through the dispatched wired-add loops; positions below
+  // `approx_bits` are approximate.
+  const int approx_bits =
+      std::clamp(cfg.adder.approx_lsbs - cfg.adder.weight_offset, 0, cfg.adder.width);
+  const AdderKind kind = cfg.adder.kind;
+  if (approx_bits > 0 && (kind == AdderKind::Approx4 || kind == AdderKind::Approx5)) {
+    wired_ = true;
+    wired_params_ = WiredAddParams{cfg.adder.width, approx_bits, kind == AdderKind::Approx5,
+                                   /*negate_b=*/false};
+    // The loops' contract (isa.hpp): approx_bits in [1, width].
+    assert(wired_params_.approx_bits >= 1 && wired_params_.approx_bits <= wired_params_.width);
   }
-  wired_params_.width = cfg.adder.width;
-  wired_params_.approx_bits = approx_bits_;
-  wired_params_.sum_is_b = add_path_ == AddFastPath::SumIsB;
-  wired_params_.negate_b = false;
-}
-
-i64 ApproxKernel::wired_add(u64 ua, u64 ub) const noexcept {
-  // Approximate low region of a carry-free mirror adder: the low sum bits
-  // are pure wiring (B for AMA5, NOT A for AMA4) and the carry into the
-  // accurate high region is A's top approximate bit (Cout = A in both
-  // kinds; the carry-in is ignored by the first approximate FA, so this
-  // covers the subtractor's injected carry too). The accurate high region
-  // is one native add, exactly like RippleCarryAdder's fast path.
-  const int w = cfg_.adder.width;
-  const int k = approx_bits_;
-  const u64 low =
-      (add_path_ == AddFastPath::SumIsB ? ub : ~ua) & low_mask(k);
-  if (k >= w) return sign_extend(low & low_mask(w), w);
-  const u64 carry = (ua >> (k - 1)) & 1u;
-  const u64 hi = ((ua >> k) + (ub >> k) + carry) & low_mask(w - k);
-  return sign_extend((hi << k) | low, w);
-}
-
-i64 ApproxKernel::add_signed_fast(i64 a, i64 b) const noexcept {
-  if (add_path_ == AddFastPath::Generic) return adder_.add_signed(a, b);
-  const int w = cfg_.adder.width;
-  return wired_add(to_unsigned_bits(a, w), to_unsigned_bits(b, w));
-}
-
-i64 ApproxKernel::sub_signed_fast(i64 a, i64 b) const noexcept {
-  if (add_path_ == AddFastPath::Generic) return adder_.sub_signed(a, b);
-  const int w = cfg_.adder.width;
-  // One's complement + carry-in, as in the adder-subtractor datapath; the
-  // injected carry-in dies at the first approximate FA (see wired_add).
-  return wired_add(to_unsigned_bits(a, w), (~to_unsigned_bits(b, w)) & low_mask(w));
 }
 
 i64 ApproxKernel::add1(i64 a, i64 b) const { return adder_.add_signed(a, b); }
@@ -209,13 +180,14 @@ i64 ApproxKernel::mul1(i64 a, i64 b) const { return mult_->multiply_signed(a, b)
 
 // The batched loop bodies live behind the runtime ISA dispatch (isa.hpp):
 // one atomic table-pointer load per *_n call selects the scalar baseline or
-// the AVX2/AVX-512 vector loops, all bit-identical to the closed forms
-// above (asserted per forced ISA in tests/test_kernel_dispatch.cpp).
+// the AVX2/AVX-512 vector loops, all bit-identical to the adder model's
+// add_signed/sub_signed (asserted per forced ISA in
+// tests/test_kernel_dispatch.cpp).
 
 void ApproxKernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
                               std::span<i64> out) const {
   const std::size_t n = out.size();
-  if (add_path_ != AddFastPath::Generic) {
+  if (wired_) {
     kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, wired_params_);
     return;
   }
@@ -225,9 +197,11 @@ void ApproxKernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
 void ApproxKernel::sub_n_impl(std::span<const i64> a, std::span<const i64> b,
                               std::span<i64> out) const {
   const std::size_t n = out.size();
-  if (add_path_ != AddFastPath::Generic) {
+  if (wired_) {
     WiredAddParams p = wired_params_;
-    p.negate_b = true;  // one's complement + injected carry (see wired_add)
+    // One's complement + injected carry, as in the adder-subtractor; the
+    // carry-in dies at the first approximate FA (Cout = A).
+    p.negate_b = true;
     kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, p);
     return;
   }
@@ -320,7 +294,7 @@ void ApproxKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pa
       distinct[n_distinct++] = c;
     }
   }
-  if (!tables_ok || nonzero == 0 || add_path_ == AddFastPath::Generic) {
+  if (!tables_ok || nonzero == 0 || !wired_) {
     Kernel::fir_n_impl(taps, padded, acc);
     return;
   }
@@ -356,19 +330,19 @@ void ApproxKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pa
 }
 
 void ApproxKernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const {
+  // The accumulator on the A port, the product on the B port — the same
+  // operand order as the scalar chain add(acc, mul(c, x)).
   const std::size_t n = acc.size();
   const i64* prod = coeff_table(c, n);
   if (prod == nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = add_signed_fast(acc[i], mult_->multiply_signed(c, x[i]));
+      acc[i] = adder_.add_signed(acc[i], mult_->multiply_signed(c, x[i]));
     }
     return;
   }
-  // Warm table walk: the accumulator on the A port, the product on the B
-  // port — the same operand order as the scalar chain add(acc, mul(c, x)).
   const u64 mmask = low_mask(cfg_.mult.width);
   for (std::size_t i = 0; i < n; ++i) {
-    acc[i] = add_signed_fast(acc[i], prod[static_cast<u64>(x[i]) & mmask]);
+    acc[i] = adder_.add_signed(acc[i], prod[static_cast<u64>(x[i]) & mmask]);
   }
 }
 
@@ -448,11 +422,9 @@ std::shared_ptr<const TableVec> get_magnitude_products(const MultiplierConfig& c
   // (the upper bound is the magnitude of the most negative value).
   const std::size_t n = (std::size_t{1} << (cfg.width - 1)) + 1;
   auto table = std::make_shared<TableVec>(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    // Same operand order as multiply_signed(c, x): the coefficient drives
-    // the A port. Approximate arrays are not commutative, so this matters.
-    (*table)[m] = static_cast<i64>(model->multiply_u(magnitude, static_cast<u64>(m)));
-  }
+  // Same operand order as multiply_signed(c, x): the coefficient drives the
+  // A port. Approximate arrays are not commutative, so this matters.
+  model->multiply_row(magnitude, *table);
   TableCaches& tc = caches();
   const common::MutexLock lock(tc.mutex);
   tc.magnitude.push_back(MagnitudeCacheEntry{cfg, magnitude, table});
@@ -486,12 +458,12 @@ std::shared_ptr<const TableVec> get_signed_coeff_products(const MultiplierConfig
   const auto row = get_magnitude_products(cfg, mag);
   const std::size_t n = std::size_t{1} << w;
   auto table = std::make_shared<TableVec>(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const i64 sx = sign_extend(static_cast<u64>(u), w);
-    const u64 mx = sx < 0 ? static_cast<u64>(-sx) : static_cast<u64>(sx);
-    const i64 p = (*row)[mx];
-    (*table)[u] = (neg != (sx < 0)) ? -p : p;
-  }
+  // Operand patterns u < 2^(w-1) are the magnitudes themselves; the upper
+  // half holds x = u - 2^w, of magnitude 2^w - u.
+  const i64* r = row->data();
+  i64* t = table->data();
+  for (std::size_t u = 0; u < n / 2; ++u) t[u] = neg ? -r[u] : r[u];
+  for (std::size_t u = n / 2; u < n; ++u) t[u] = neg ? r[n - u] : -r[n - u];
   TableCaches& tc = caches();
   const common::MutexLock lock(tc.mutex);
   tc.signed_coeff.push_back(SignedCacheEntry{cfg, sc, table});
@@ -517,17 +489,12 @@ std::shared_ptr<const TableVec> get_square_products(const MultiplierConfig& cfg)
   // sign-magnitude wrapper makes mul1(x, x) = +multiply_u(|x|, |x|) always.
   const std::size_t half = (std::size_t{1} << (w - 1)) + 1;
   std::vector<i64> diag(half);
-  for (std::size_t m = 0; m < half; ++m) {
-    diag[m] =
-        static_cast<i64>(model->multiply_u(static_cast<u64>(m), static_cast<u64>(m)));
-  }
+  model->multiply_diagonal(diag);
   const std::size_t n = std::size_t{1} << w;
   auto table = std::make_shared<TableVec>(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const i64 sx = sign_extend(static_cast<u64>(u), w);
-    const u64 mx = sx < 0 ? static_cast<u64>(-sx) : static_cast<u64>(sx);
-    (*table)[u] = diag[mx];
-  }
+  i64* t = table->data();
+  for (std::size_t u = 0; u < n / 2; ++u) t[u] = diag[u];
+  for (std::size_t u = n / 2; u < n; ++u) t[u] = diag[n - u];  // magnitude 2^w - u
   TableCaches& tc = caches();
   const common::MutexLock lock(tc.mutex);
   tc.square.push_back(SquareCacheEntry{cfg, table});

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "xbs/arith/mult2x2.hpp"
@@ -31,6 +33,55 @@ std::vector<int> sub_bases(int width, int sub) {
   return bases;
 }
 
+/// Combine four n/2 x n/2 sub-products with the three 2n-bit adders of one
+/// recursion level, whose \p p low positions are approximate \p kind FAs:
+/// P = LL + ((HL + LH) << h) + (HH << n).
+u64 combine(AdderKind kind, int n, int p, u64 ll, u64 hl, u64 lh, u64 hh) noexcept {
+  const int h = n / 2;
+  // Operand-port convention: where one operand is structurally zero (the
+  // shifted partial products), it is wired to the A port. The zero-cost
+  // wiring adder (ApproxAdd5: Sum = B, Cout = A) then passes the live data
+  // through and keeps the carry lane constant — the port assignment any RTL
+  // designer would pick, and the one the netlist builders mirror.
+  const u64 s1 = approx_add_u(kind, 2 * n, p, hl << h, lh << h, false).sum;
+  const u64 s2 = approx_add_u(kind, 2 * n, p, s1, ll, false).sum;
+  return approx_add_u(kind, 2 * n, p, hh << n, s2, false).sum;
+}
+
+/// Approximate positions of a level-n accumulation adder whose LSB has
+/// absolute weight \p base (Fig. 6: weight < k).
+int combine_approx_bits(int approx_lsbs, int n, int base) noexcept {
+  return std::clamp(approx_lsbs - base, 0, 2 * n);
+}
+
+/// n x n product at base offset `base` from the memoized n/2 x n/2 LUTs at
+/// base offsets base (\p lo), base + n/2 (\p mid, shared by HL and LH) and
+/// base + n (\p hi), each indexed by (x << n/2) | y.
+template <class T>
+u64 from_quarters(AdderKind kind, int n, int p, const T* lo, const T* mid, const T* hi, u64 a,
+                  u64 b) noexcept {
+  const int h = n / 2;
+  const u64 al = a & low_mask(h), ah = a >> h;
+  const u64 bl = b & low_mask(h), bh = b >> h;
+  return combine(kind, n, p, lo[(al << h) | bl], mid[(ah << h) | bl], mid[(al << h) | bh],
+                 hi[(ah << h) | bh]);
+}
+
+/// Calls \p fn with \p kind as a compile-time constant, so the word-level
+/// add's per-kind switch folds out of the table fill loops.
+template <class Fn>
+void with_adder_kind(AdderKind kind, Fn&& fn) {
+  using K = AdderKind;
+  switch (kind) {
+    case K::Accurate: return fn(std::integral_constant<K, K::Accurate>{});
+    case K::Approx1: return fn(std::integral_constant<K, K::Approx1>{});
+    case K::Approx2: return fn(std::integral_constant<K, K::Approx2>{});
+    case K::Approx3: return fn(std::integral_constant<K, K::Approx3>{});
+    case K::Approx4: return fn(std::integral_constant<K, K::Approx4>{});
+    case K::Approx5: return fn(std::integral_constant<K, K::Approx5>{});
+  }
+}
+
 }  // namespace
 
 RecursiveMultiplier::RecursiveMultiplier(const MultiplierConfig& cfg) : cfg_(cfg) {
@@ -42,11 +93,12 @@ RecursiveMultiplier::RecursiveMultiplier(const MultiplierConfig& cfg) : cfg_(cfg
     throw std::invalid_argument("approx_lsbs must be in [0, 2*width]");
   }
   // Memoize 4x4 sub-multipliers (and, for width >= 16, 8x8) keyed by base
-  // weight offset. Tables are built through the plain recursive simulation so
-  // they are bit-identical to the unmemoized path. Each level's pointer index
-  // is published only after all of its tables are built (the table vector
-  // must stop reallocating before addresses are taken), so the 8x8 builds run
-  // on top of the already-indexed 4x4 tables.
+  // weight offset. The LUT4s are built through the plain recursive
+  // simulation; each LUT8 entry is then four LUT4 loads and three adds —
+  // the same evaluation simulate(8, ...) performs, hoisted. Each level's
+  // pointer index is published only after all of its tables are built (the
+  // table vector must stop reallocating before addresses are taken), so the
+  // 8x8 builds run on top of the already-indexed 4x4 tables.
   if (cfg.width >= 4) {
     const std::vector<int> bases = sub_bases(cfg.width, 4);
     for (const int base : bases) {
@@ -64,31 +116,22 @@ RecursiveMultiplier::RecursiveMultiplier(const MultiplierConfig& cfg) : cfg_(cfg
     const std::vector<int> bases = sub_bases(cfg.width, 8);
     for (const int base : bases) {
       std::vector<u16>& t = lut8_tables_.emplace_back(65536);
-      for (u32 a = 0; a < 256; ++a)
-        for (u32 b = 0; b < 256; ++b)
-          t[(a << 8) | b] = static_cast<u16>(simulate(8, a, b, base, 0));
+      const u8* lo = find_lut4(base);
+      const u8* mid = find_lut4(base + 4);
+      const u8* hi = find_lut4(base + 8);
+      assert(lo != nullptr && mid != nullptr && hi != nullptr);
+      const int p = combine_approx_bits(cfg.approx_lsbs, 8, base);
+      with_adder_kind(cfg.adder_kind, [&](auto kind) {
+        for (u32 a = 0; a < 256; ++a)
+          for (u32 b = 0; b < 256; ++b)
+            t[(a << 8) | b] = static_cast<u16>(from_quarters(kind(), 8, p, lo, mid, hi, a, b));
+      });
     }
     lut8_by_base_.assign(static_cast<std::size_t>(2 * cfg.width + 1), nullptr);
     for (std::size_t i = 0; i < bases.size(); ++i) {
       lut8_by_base_[static_cast<std::size_t>(bases[i])] = lut8_tables_[i].data();
     }
   }
-}
-
-u64 RecursiveMultiplier::combine(int n, u64 ll, u64 hl, u64 lh, u64 hh,
-                                 int base) const noexcept {
-  const int h = n / 2;
-  const AdderConfig acfg{2 * n, cfg_.approx_lsbs, cfg_.adder_kind, base};
-  const RippleCarryAdder adder(acfg);
-  // Operand-port convention: where one operand is structurally zero (the
-  // shifted partial products), it is wired to the A port. The zero-cost
-  // wiring adder (ApproxAdd5: Sum = B, Cout = A) then passes the live data
-  // through and keeps the carry lane constant — the port assignment any RTL
-  // designer would pick, and the one the netlist builders mirror.
-  const u64 s1 = adder.add_u(hl << h, lh << h).sum;
-  const u64 s2 = adder.add_u(s1, ll).sum;
-  const u64 s3 = adder.add_u(hh << n, s2).sum;
-  return s3;
 }
 
 u64 RecursiveMultiplier::simulate(int n, u64 a, u64 b, int off_a, int off_b) const noexcept {
@@ -117,11 +160,44 @@ u64 RecursiveMultiplier::simulate(int n, u64 a, u64 b, int off_a, int off_b) con
   const u64 hl = simulate(h, ah, bl, off_a + h, off_b);
   const u64 lh = simulate(h, al, bh, off_a, off_b + h);
   const u64 hh = simulate(h, ah, bh, off_a + h, off_b + h);
-  return combine(n, ll, hl, lh, hh, base);
+  return combine(cfg_.adder_kind, n, combine_approx_bits(cfg_.approx_lsbs, n, base), ll, hl,
+                 lh, hh);
 }
 
 u64 RecursiveMultiplier::multiply_u(u64 a, u64 b) const noexcept {
   return simulate(cfg_.width, a & low_mask(cfg_.width), b & low_mask(cfg_.width), 0, 0);
+}
+
+template <class OperandA>
+void RecursiveMultiplier::fill_products(std::span<i64> out,
+                                        OperandA operand_a) const noexcept {
+  const int w = cfg_.width;
+  assert(out.size() <= (std::size_t{1} << w));
+  if (w != 16) {  // only 16x16 models memoize their halves (the 8x8 LUTs)
+    for (std::size_t b = 0; b < out.size(); ++b) {
+      out[b] = static_cast<i64>(multiply_u(operand_a(b), static_cast<u64>(b)));
+    }
+    return;
+  }
+  const u16* lo = find_lut8(0);
+  const u16* mid = find_lut8(8);
+  const u16* hi = find_lut8(16);
+  const int p = combine_approx_bits(cfg_.approx_lsbs, 16, 0);
+  with_adder_kind(cfg_.adder_kind, [&](auto kind) {
+    for (std::size_t b = 0; b < out.size(); ++b) {
+      out[b] = static_cast<i64>(
+          from_quarters(kind(), 16, p, lo, mid, hi, operand_a(b), static_cast<u64>(b)));
+    }
+  });
+}
+
+void RecursiveMultiplier::multiply_row(u64 a, std::span<i64> out) const noexcept {
+  a &= low_mask(cfg_.width);
+  fill_products(out, [a](std::size_t) { return a; });
+}
+
+void RecursiveMultiplier::multiply_diagonal(std::span<i64> out) const noexcept {
+  fill_products(out, [](std::size_t m) { return static_cast<u64>(m); });
 }
 
 i64 RecursiveMultiplier::multiply_signed(i64 a, i64 b) const noexcept {

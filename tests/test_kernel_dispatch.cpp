@@ -132,7 +132,7 @@ TEST_F(KernelDispatchTest, VectorTiersBitIdenticalToBaselineOps) {
       for (i64& v : b) v = rng.uniform_int(-2000000000, 2000000000);
       for (const bool sum_is_b : {true, false}) {
         for (const bool negate_b : {true, false}) {
-          for (const int k : {0, 1, 10, 31, 32, 40}) {
+          for (const int k : {1, 10, 31, 32, 40}) {  // approx_bits >= 1 (isa.hpp)
             const WiredAddParams p{32, k, sum_is_b, negate_b};
             base.wired_add_n(a.data(), b.data(), want.data(), n, p);
             ops->wired_add_n(a.data(), b.data(), got.data(), n, p);
