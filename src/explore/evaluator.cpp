@@ -16,13 +16,15 @@ std::vector<double> to_double(std::span<const i32> v) {
 }  // namespace
 
 SharedPsnrReference make_psnr_reference(const std::vector<ecg::DigitizedRecord>& records) {
-  // References come from a plain pipeline run so the memo caches stay primed
-  // for candidate configurations only.
-  const pantompkins::PanTompkinsPipeline accurate;
+  // References come from plain stage runs (LPF -> HPF, the only stages the
+  // metric reads) so the memo caches stay primed for candidate
+  // configurations only.
+  const arith::StageArithConfig exact;
   auto ref = std::make_shared<std::vector<std::vector<double>>>();
   ref->reserve(records.size());
   for (const ecg::DigitizedRecord& rec : records) {
-    ref->push_back(to_double(accurate.run_filters(rec.adu).hpf));
+    const std::vector<i32> lpf = pantompkins::run_stage(pantompkins::Stage::Lpf, exact, rec.adu);
+    ref->push_back(to_double(pantompkins::run_stage(pantompkins::Stage::Hpf, exact, lpf)));
   }
   return ref;
 }
@@ -40,8 +42,8 @@ struct PreprocPsnrEvaluator::Impl {
     const pantompkins::PipelineConfig cfg = to_pipeline_config(d);
     double total = 0.0;
     for (std::size_t i = 0; i < runner.num_records(); ++i) {
-      const auto& out = runner.run_filters(i, cfg);
-      total += metric((*ref_hpf)[i], to_double(out.hpf));
+      total += metric((*ref_hpf)[i],
+                      to_double(runner.stage_output(i, cfg, pantompkins::Stage::Hpf)));
     }
     return total / static_cast<double>(runner.num_records());
   }

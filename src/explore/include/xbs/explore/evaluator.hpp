@@ -55,7 +55,7 @@ class QualityEvaluator {
 /// evaluators of a parallel exploration.
 using SharedPsnrReference = std::shared_ptr<const std::vector<std::vector<double>>>;
 
-/// Compute the accurate reference for a workload (one accurate pipeline run
+/// Compute the accurate reference for a workload (the exact LPF -> HPF chain
 /// per record).
 [[nodiscard]] SharedPsnrReference make_psnr_reference(
     const std::vector<ecg::DigitizedRecord>& records);

@@ -9,8 +9,11 @@
 /// deepest stages fastest — so the runner caches each stage's output per
 /// record, keyed by its StageArithConfig, and recomputes only from the first
 /// stage whose configuration changed. An unchanged prefix is never
-/// re-simulated. Detection (native control logic) is likewise reused when no
-/// filter stage changed.
+/// re-simulated. A caller that reads one intermediate signal (the PSNR stage
+/// reads the HPF output) asks for the chain only up to that stage, and the
+/// deeper stages are not simulated for it. Detection (native control logic)
+/// is likewise reused when no filter stage changed. Each stage runs as
+/// pantompkins::run_stage: cache-sized blocks through one streaming stage.
 #pragma once
 
 #include <array>
@@ -88,8 +91,15 @@ class MemoizedPipelineRunner {
   }
   [[nodiscard]] const SharedRecords& records() const noexcept { return records_; }
 
-  /// Filter-only evaluation. The returned reference is valid until the next
-  /// run/run_filters call for the same record.
+  /// Stages up to and including \p last only, returning that stage's signal;
+  /// deeper stages are not looked up or computed. A lookup of k stages counts
+  /// k stage hits + recomputes in stats(). The returned reference is valid
+  /// until the next call for the same record.
+  [[nodiscard]] const std::vector<i32>& stage_output(std::size_t i,
+                                                     const pantompkins::PipelineConfig& cfg,
+                                                     pantompkins::Stage last);
+
+  /// Filter-only evaluation of the full chain (same reference lifetime rule).
   [[nodiscard]] const pantompkins::PipelineResult& run_filters(
       std::size_t i, const pantompkins::PipelineConfig& cfg);
 
@@ -108,6 +118,9 @@ class MemoizedPipelineRunner {
     pantompkins::DetectorParams detect_params{};
     pantompkins::PipelineResult result;
   };
+
+  /// Bring stages [0, depth) of record i's cache up to \p cfg.
+  RecordCache& compute_through(std::size_t i, const pantompkins::PipelineConfig& cfg, int depth);
 
   SharedRecords records_;
   std::vector<RecordCache> cache_;

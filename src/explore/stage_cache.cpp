@@ -1,5 +1,7 @@
 #include "xbs/explore/stage_cache.hpp"
 
+#include <algorithm>
+
 namespace xbs::explore {
 namespace {
 
@@ -25,22 +27,26 @@ MemoizedPipelineRunner::MemoizedPipelineRunner(std::vector<ecg::DigitizedRecord>
 MemoizedPipelineRunner::MemoizedPipelineRunner(SharedRecords records)
     : records_(std::move(records)), cache_(records_->size()) {}
 
-const PipelineResult& MemoizedPipelineRunner::run_filters(
-    std::size_t i, const pantompkins::PipelineConfig& cfg) {
+MemoizedPipelineRunner::RecordCache& MemoizedPipelineRunner::compute_through(
+    std::size_t i, const pantompkins::PipelineConfig& cfg, int depth) {
   RecordCache& rc = cache_[i];
-  // The longest cached prefix whose configuration is unchanged stays as-is.
+  // The longest cached prefix whose configuration is unchanged stays as-is;
+  // stages past `depth` are neither looked up nor touched.
+  const int reusable = std::min(rc.valid_stages, depth);
   int first_dirty = 0;
-  while (first_dirty < rc.valid_stages &&
-         cfg.stage[static_cast<std::size_t>(first_dirty)] ==
-             rc.cfg[static_cast<std::size_t>(first_dirty)]) {
+  while (first_dirty < reusable && cfg.stage[static_cast<std::size_t>(first_dirty)] ==
+                                       rc.cfg[static_cast<std::size_t>(first_dirty)]) {
     ++first_dirty;
   }
   ++stats_.runs;
   stats_.stage_hits += static_cast<u64>(first_dirty);
-  stats_.stage_recomputes += static_cast<u64>(pantompkins::kNumStages - first_dirty);
-  if (first_dirty < pantompkins::kNumStages) {
+  stats_.stage_recomputes += static_cast<u64>(depth - first_dirty);
+  if (first_dirty < depth) {
+    // Every stage from first_dirty on is stale until it lands again, so a
+    // stage that throws leaves no later call trusting a half-updated chain.
+    rc.valid_stages = first_dirty;
     rc.detect_valid = false;
-    for (int s = first_dirty; s < pantompkins::kNumStages; ++s) {
+    for (int s = first_dirty; s < depth; ++s) {
       const auto su = static_cast<std::size_t>(s);
       const std::span<const i32> input =
           s == 0 ? std::span<const i32>((*records_)[i].adu)
@@ -49,10 +55,21 @@ const PipelineResult& MemoizedPipelineRunner::run_filters(
           pantompkins::run_stage(static_cast<Stage>(s), cfg.stage[su], input,
                                  &rc.result.ops[su]);
       rc.cfg[su] = cfg.stage[su];
+      rc.valid_stages = s + 1;
     }
-    rc.valid_stages = pantompkins::kNumStages;
   }
-  return rc.result;
+  return rc;
+}
+
+const std::vector<i32>& MemoizedPipelineRunner::stage_output(
+    std::size_t i, const pantompkins::PipelineConfig& cfg, Stage last) {
+  const int s = static_cast<int>(last);
+  return mutable_signal(compute_through(i, cfg, s + 1).result, s);
+}
+
+const PipelineResult& MemoizedPipelineRunner::run_filters(
+    std::size_t i, const pantompkins::PipelineConfig& cfg) {
+  return compute_through(i, cfg, pantompkins::kNumStages).result;
 }
 
 const PipelineResult& MemoizedPipelineRunner::run(std::size_t i,

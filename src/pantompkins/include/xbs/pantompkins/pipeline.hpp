@@ -58,12 +58,14 @@ struct PipelineResult {
   [[nodiscard]] arith::OpCounts total_ops() const noexcept;
 };
 
-/// Run one stage as a whole-record transform over a freshly built kernel for
-/// \p cfg (exact native backend when the configuration is accurate): a
-/// one-chunk call into the streaming StageProcessor core, which owns the
-/// stage wiring (taps, shifts, window) shared by the batch pipeline, the
-/// exploration stage cache, and stream::Session. If \p ops is non-null it
-/// receives the stage's operation counts.
+/// Run one stage over a whole record through a freshly built kernel for
+/// \p cfg (exact native backend when the configuration is accurate). The
+/// record is fed to one streaming StageProcessor — the stage wiring (taps,
+/// shifts, window) shared by the batch pipeline, the exploration stage cache,
+/// and stream::Session — in fixed 1024-sample blocks, so each block's scratch
+/// stays cache-resident; outputs, operation counts and lazy table builds are
+/// those of one whole-record chunk. If \p ops is non-null it receives the
+/// stage's operation counts.
 [[nodiscard]] std::vector<i32> run_stage(Stage s, const arith::StageArithConfig& cfg,
                                          std::span<const i32> input,
                                          arith::OpCounts* ops = nullptr);
@@ -89,9 +91,9 @@ void warm_pipeline_tables(const PipelineConfig& cfg);
 
 /// The five-stage pipeline. Stages whose configuration is exact run on the
 /// native datapath; approximated stages run bit-accurately through the
-/// behavioural models. Records are processed as contiguous buffers: each
-/// stage is one block transform over the whole signal (one batched kernel
-/// call per tap / tree level), not a per-sample scalar loop.
+/// behavioural models. Records are processed stage by stage with run_stage:
+/// batched kernel calls (per tap / tree level) over cache-sized blocks, not a
+/// per-sample scalar loop.
 class PanTompkinsPipeline {
  public:
   explicit PanTompkinsPipeline(const PipelineConfig& cfg = PipelineConfig::accurate());

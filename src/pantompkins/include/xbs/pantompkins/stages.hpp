@@ -141,21 +141,17 @@ class MwiStage {
 /// One wired pipeline stage — taps/shift/window resolved from the paper's
 /// coefficient set for the given Stage — bound to a kernel, with its
 /// carry-over state held internally. This is the single source of stage
-/// wiring shared by the batch pipeline (`run_stage`, one chunk per record),
-/// the exploration stage cache, and the streaming `stream::Session`.
+/// wiring shared by the batch pipeline (`run_stage`, fixed 1024-sample
+/// blocks per record), the exploration stage cache, and the streaming
+/// `stream::Session` (its pushed chunks).
 class StageProcessor {
  public:
   StageProcessor(Stage s, arith::Kernel& kernel);
 
   /// Resumable: consume a chunk of any size, carrying state across calls.
-  /// The write-into form reuses \p out across calls (allocation-free hot
-  /// path; must not alias \p x).
+  /// \p out is resized to the chunk and reused across calls (allocation-free
+  /// hot path); it must not alias \p x.
   void process_chunk(std::span<const i32> x, std::vector<i32>& out);
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    std::vector<i32> out;
-    process_chunk(x, out);
-    return out;
-  }
 
   /// Drop the carried state (start of a fresh record).
   void reset();

@@ -1,8 +1,17 @@
 #include "xbs/pantompkins/pipeline.hpp"
 
+#include <algorithm>
+
 #include "xbs/dsp/pt_coeffs.hpp"
 
 namespace xbs::pantompkins {
+namespace {
+
+/// Samples per run_stage block. At least the kernels' cold-table threshold
+/// (512), so a record builds tables exactly when a whole-record chunk would.
+constexpr std::size_t kRunStageBlock = 1024;
+
+}  // namespace
 
 PipelineConfig PipelineConfig::from_lsbs(const LsbVector& lsbs, AdderKind add_kind,
                                          MultKind mult_kind, ApproxPolicy policy) noexcept {
@@ -68,9 +77,17 @@ void warm_pipeline_tables(const PipelineConfig& cfg) {
 std::vector<i32> run_stage(Stage s, const arith::StageArithConfig& cfg,
                            std::span<const i32> input, arith::OpCounts* ops) {
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
-  // The whole record as a single chunk through the streaming core: the batch
-  // path is a thin wrapper over the same resumable stage it serves.
-  std::vector<i32> out = StageProcessor(s, *kernel).process_chunk(input);
+  StageProcessor stage(s, *kernel);
+  // Fixed blocks through one resumable stage, bit-identical to one
+  // whole-record chunk: the MWI adder tree keeps ~15 i64 level buffers live,
+  // which for a 20k-sample record spill the L2; a block's stay in cache.
+  std::vector<i32> out;
+  out.reserve(input.size());
+  std::vector<i32> block;
+  for (std::size_t pos = 0; pos < input.size(); pos += kRunStageBlock) {
+    stage.process_chunk(input.subspan(pos, std::min(kRunStageBlock, input.size() - pos)), block);
+    out.insert(out.end(), block.begin(), block.end());
+  }
   if (ops != nullptr) *ops = kernel->counts();
   return out;
 }

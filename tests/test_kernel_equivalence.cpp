@@ -11,6 +11,7 @@
 
 #include "xbs/arith/kernel.hpp"
 #include "xbs/common/rng.hpp"
+#include "xbs/core/paper_configs.hpp"
 #include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
@@ -265,14 +266,10 @@ TEST(StageShortChunkEquivalence, OneWarmTapTakesTheTapChain) {
   }
 }
 
-TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
-  // End-to-end: the block pipeline must equal streaming every stage sample
-  // by sample through the kernels' counted scalar ops.
-  const auto rec = ecg::nsrdb_like_digitized(0, 4000);
-  const auto cfg = PipelineConfig::from_lsbs({10, 12, 2, 8, 16});
-
-  const PanTompkinsPipeline pipe(cfg);
-  const PipelineResult block = pipe.run_filters(rec.adu);
+/// The per-sample reference: every stage streamed sample by sample through
+/// the kernels' counted scalar ops, checked against the block pipeline.
+void expect_matches_streamed_stages(const PipelineConfig& cfg, std::span<const i32> adu) {
+  const PipelineResult block = PanTompkinsPipeline(cfg).run_filters(adu);
 
   std::array<std::unique_ptr<arith::Kernel>, kNumStages> kernels;
   for (int s = 0; s < kNumStages; ++s) {
@@ -285,8 +282,9 @@ TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
   SquarerStage sqr(dsp::pt::kSqrShift, *kernels[3]);
   MwiStage mwi(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, *kernels[4]);
 
-  for (std::size_t i = 0; i < rec.adu.size(); ++i) {
-    const i32 a = lpf.process(rec.adu[i]);
+  ASSERT_EQ(block.mwi.size(), adu.size());
+  for (std::size_t i = 0; i < adu.size(); ++i) {
+    const i32 a = lpf.process(adu[i]);
     const i32 b = hpf.process(a);
     const i32 c = der.process(b);
     const i32 d = sqr.process(c);
@@ -301,6 +299,69 @@ TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
     EXPECT_EQ(block.ops[static_cast<std::size_t>(s)],
               kernels[static_cast<std::size_t>(s)]->counts())
         << to_string(kAllStages[static_cast<std::size_t>(s)]);
+  }
+}
+
+TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
+  // run_stage feeds fixed 1024-sample blocks: record lengths on either side
+  // of one and two blocks, and of the kernels' 512-sample table threshold.
+  const auto rec = ecg::nsrdb_like_digitized(0, 20000);
+  std::vector<PipelineConfig> configs = {PipelineConfig::accurate()};
+  for (const core::NamedConfig& named : core::fig12_b_configs()) {
+    configs.push_back(PipelineConfig::from_lsbs(named.lsbs));
+  }
+  for (const std::size_t n : {1, 511, 1023, 1024, 1025, 2049, 20000}) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE(::testing::Message() << "samples " << n << ", config " << c);
+      expect_matches_streamed_stages(configs[c], std::span<const i32>(rec.adu).first(n));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+arith::TableCacheStats operator-(const arith::TableCacheStats& a,
+                                 const arith::TableCacheStats& b) {
+  return {a.multiplier_models - b.multiplier_models, a.magnitude_tables - b.magnitude_tables,
+          a.signed_tables - b.signed_tables, a.square_tables - b.square_tables};
+}
+
+TEST(PipelineBlockEquivalence, BlockedStageBuildsTablesAsOneChunk) {
+  // A never-built config builds, under run_stage's blocks, exactly the tables
+  // one whole-record chunk builds on a twin config with the same table
+  // shapes: none below the 512-sample threshold, all of them above it. The
+  // LSB counts are used by no other test in this binary.
+  const auto rec = ecg::nsrdb_like_digitized(1, 3000);
+  for (const auto& [n, lsbs] : {std::pair<std::size_t, int>{300, 13}, {3000, 14}}) {
+    const auto blocked_cfg = arith::StageArithConfig::uniform(lsbs, AdderKind::Approx4);
+    const auto chunk_cfg = arith::StageArithConfig::uniform(lsbs, AdderKind::Approx5);
+    const std::span<const i32> x = std::span<const i32>(rec.adu).first(n);
+    for (const Stage s : {Stage::Lpf, Stage::Sqr}) {
+      SCOPED_TRACE(::testing::Message() << "samples " << n << ", " << to_string(s));
+      for (const auto* cfg : {&blocked_cfg, &chunk_cfg}) {
+        // Tables are process-wide: a repeat in the same process finds them warm.
+        if ((s == Stage::Lpf
+                 ? arith::peek_signed_coeff_products(cfg->mult, dsp::pt::kLpfTaps[0])
+                 : arith::peek_square_products(cfg->mult)) != nullptr) {
+          GTEST_SKIP() << "tables already built in this process";
+        }
+      }
+      const arith::TableCacheStats t0 = arith::table_cache_stats();
+      (void)run_stage(s, blocked_cfg, x);
+      const arith::TableCacheStats t1 = arith::table_cache_stats();
+      const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(chunk_cfg);
+      std::vector<i32> chunk_out;
+      StageProcessor(s, *kernel).process_chunk(x, chunk_out);
+      const arith::TableCacheStats t2 = arith::table_cache_stats();
+
+      const arith::TableCacheStats blocked = t1 - t0;
+      EXPECT_EQ(blocked, t2 - t1);
+      const u64 built = blocked.signed_tables + blocked.square_tables;
+      if (n < 512) {
+        EXPECT_EQ(built, 0u);
+      } else {
+        EXPECT_GT(built, 0u);
+      }
+    }
   }
 }
 
