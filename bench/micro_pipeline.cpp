@@ -4,8 +4,11 @@
 // library does the same bit-accurate evaluation in well under a second).
 #include <benchmark/benchmark.h>
 
+#include "xbs/arith/kernel.hpp"
+#include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
+#include "xbs/pantompkins/stages.hpp"
 
 namespace {
 
@@ -59,5 +62,38 @@ void BM_DetectorOnly(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<i64>(record().adu.size()));
 }
 BENCHMARK(BM_DetectorOnly)->Unit(benchmark::kMillisecond);
+
+/// The MWI stage alone over the record's SQR output, fed in chunks of
+/// range(1) samples: exact (range(0) = 0) or AMA5 at range(0) LSBs.
+/// `charged_adds_per_sample` is the kernel's counted adds per output, which
+/// model the 30-input tree's 29 hardware adders whatever the software runs.
+void BM_MwiStage(benchmark::State& state) {
+  static const std::vector<i32> sqr =
+      pantompkins::PanTompkinsPipeline().run_filters(record().adu).sqr;
+  const auto chunk = static_cast<std::size_t>(state.range(1));
+  const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(
+      arith::StageArithConfig::uniform(static_cast<int>(state.range(0)), AdderKind::Approx5));
+  pantompkins::MwiStage mwi(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, *kernel);
+  std::vector<i32> y;
+  for (auto _ : state) {
+    for (std::size_t at = 0; at < sqr.size(); at += chunk) {
+      mwi.process_chunk(std::span<const i32>(sqr).subspan(at, std::min(chunk, sqr.size() - at)), y);
+      benchmark::DoNotOptimize(y.data());
+    }
+  }
+  const auto samples = static_cast<double>(state.iterations()) * static_cast<double>(sqr.size());
+  // Seconds per sample, printed with its SI prefix (e.g. "6.1ns").
+  state.counters["time_per_sample"] =
+      benchmark::Counter(samples, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["charged_adds_per_sample"] = static_cast<double>(kernel->counts().adds) / samples;
+  state.SetItemsProcessed(static_cast<i64>(samples));
+}
+BENCHMARK(BM_MwiStage)
+    ->ArgNames({"lsbs", "chunk"})
+    ->Args({0, 64})
+    ->Args({0, 1024})
+    ->Args({16, 64})
+    ->Args({16, 1024})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

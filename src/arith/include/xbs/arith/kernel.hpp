@@ -7,7 +7,9 @@
 /// config decoding, LUT pointer resolution and operation counting over a
 /// whole signal block, and their inner loops are tight non-virtual code.
 /// Both are bit-identical, op counts included (asserted in
-/// tests/test_kernel_equivalence).
+/// tests/test_kernel_equivalence). Op counts model the hardware datapath:
+/// where software runs fewer ops than the hardware (MwiStage's shared
+/// subtrees), it adds with `add_n_uncounted` and calls `charge`.
 ///
 /// Operand convention: every value is a sign-extended signed 64-bit integer
 /// carrying the block's `width`-bit two's-complement result, exactly like the
@@ -157,6 +159,15 @@ class Kernel {
     counts_.adds += acc.size() * (nonzero > 0 ? nonzero - 1 : 0);
     fir_n_impl(taps, padded, acc);
   }
+
+  /// add_n with no op counted, for a caller that charges its modelled
+  /// datapath's ops itself through charge().
+  void add_n_uncounted(std::span<const i64> a, std::span<const i64> b,
+                       std::span<i64> out) const {
+    add_n_impl(a, b, out);
+  }
+  /// The op-charge hook: count \p ops as run by the modelled datapath.
+  void charge(OpCounts ops) noexcept { counts_ += ops; }
 
   [[nodiscard]] const OpCounts& counts() const noexcept { return counts_; }
   void reset_counts() noexcept { counts_ = OpCounts{}; }

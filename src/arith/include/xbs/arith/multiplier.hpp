@@ -60,9 +60,6 @@ class RecursiveMultiplier {
   /// around the unsigned array (operands truncated to `width`-bit signed).
   [[nodiscard]] i64 multiply_signed(i64 a, i64 b) const noexcept;
 
-  /// Reference exact product (for error measurements).
-  [[nodiscard]] u64 exact_u(u64 a, u64 b) const noexcept;
-
   /// The memoized 8x8 sub-multiplier at base weight offset \p base, indexed
   /// by (a << 8) | b; empty when the model holds none there (widths below
   /// 16, or a base no 8x8 block sits at). Lets tests check every entry.

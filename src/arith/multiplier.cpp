@@ -210,10 +210,6 @@ i64 RecursiveMultiplier::multiply_signed(i64 a, i64 b) const noexcept {
   return neg ? -static_cast<i64>(p) : static_cast<i64>(p);
 }
 
-u64 RecursiveMultiplier::exact_u(u64 a, u64 b) const noexcept {
-  return (a & low_mask(cfg_.width)) * (b & low_mask(cfg_.width));
-}
-
 namespace {
 
 struct MultCacheEntry {

@@ -1,5 +1,6 @@
 #include "xbs/dsp/fir.hpp"
 
+#include <algorithm>
 #include <numbers>
 #include <stdexcept>
 
@@ -7,25 +8,24 @@
 
 namespace xbs::dsp {
 
-FirFilter::FirFilter(std::vector<double> taps) : taps_(std::move(taps)) {
+FirFilter::FirFilter(std::vector<double> taps)
+    : taps_(std::move(taps)), delay_(taps_.size(), 0.0) {
   if (taps_.empty()) throw std::invalid_argument("FirFilter: empty tap set");
-  state_ = make_state();
 }
 
-double FirFilter::process(FirFilterState& st, double x) const {
-  st.delay[st.head] = x;
+double FirFilter::process(double x) {
+  delay_[head_] = x;
   double acc = 0.0;
-  std::size_t idx = st.head;
+  std::size_t idx = head_;
   for (const double c : taps_) {
-    acc += c * st.delay[idx];
-    idx = (idx == 0) ? st.delay.size() - 1 : idx - 1;
+    acc += c * delay_[idx];
+    idx = (idx == 0) ? delay_.size() - 1 : idx - 1;
   }
-  st.head = (st.head + 1) % st.delay.size();
+  head_ = (head_ + 1) % delay_.size();
   return acc;
 }
 
-std::vector<double> FirFilter::filter_chunk(FirFilterState& st,
-                                            std::span<const double> x) const {
+std::vector<double> FirFilter::filter_chunk(std::span<const double> x) {
   // Chunked transform: tap-major accumulation over a history-prefixed
   // contiguous buffer. Each output element receives its products in the same
   // tap order as the streaming path, so results are bit-identical to calling
@@ -33,7 +33,7 @@ std::vector<double> FirFilter::filter_chunk(FirFilterState& st,
   const std::size_t n = x.size();
   const std::size_t taps = taps_.size();
   std::vector<double> padded(n + taps - 1);
-  ring_history_prefix(st.delay, st.head, padded);
+  ring_history_prefix(delay_, head_, padded);
   for (std::size_t i = 0; i < n; ++i) padded[taps - 1 + i] = x[i];
   std::vector<double> y(n, 0.0);
   for (std::size_t j = 0; j < taps; ++j) {
@@ -41,16 +41,19 @@ std::vector<double> FirFilter::filter_chunk(FirFilterState& st,
     const double* xs = padded.data() + (taps - 1 - j);
     for (std::size_t i = 0; i < n; ++i) y[i] += c * xs[i];
   }
-  ring_carry(st.delay, st.head, x);
+  ring_carry(delay_, head_, x);
   return y;
 }
 
 std::vector<double> FirFilter::filter(std::span<const double> x) {
   reset();
-  return filter_chunk(state_, x);
+  return filter_chunk(x);
 }
 
-void FirFilter::reset() { state_.reset(); }
+void FirFilter::reset() noexcept {
+  std::fill(delay_.begin(), delay_.end(), 0.0);
+  head_ = 0;
+}
 
 std::complex<double> frequency_response(std::span<const double> taps, double f_hz, double fs_hz) {
   const double w = 2.0 * std::numbers::pi * f_hz / fs_hz;

@@ -2,67 +2,38 @@
 /// \brief Double-precision FIR filtering (golden reference engine).
 #pragma once
 
-#include <algorithm>
 #include <complex>
 #include <span>
 #include <vector>
 
 namespace xbs::dsp {
 
-/// Carry-over state of a FirFilter: the delay-line ring. `head` is the next
-/// write slot, which always holds the oldest retained sample.
-struct FirFilterState {
-  std::vector<double> delay;
-  std::size_t head = 0;
-
-  /// Zero the delay line in place (no reallocation): a fresh-record state.
-  void reset() noexcept {
-    std::fill(delay.begin(), delay.end(), 0.0);
-    head = 0;
-  }
-};
-
-/// Direct-form FIR filter with a ring-buffer delay line. The tap set is
-/// immutable; streaming state is either held internally (single-consumer
-/// convenience API) or passed explicitly (FirFilterState) so many concurrent
-/// streams can share one filter object.
+/// Direct-form FIR filter with a ring-buffer delay line held as member
+/// state (single consumer).
 class FirFilter {
  public:
   explicit FirFilter(std::vector<double> taps);
 
-  /// A zeroed delay line sized for this filter.
-  [[nodiscard]] FirFilterState make_state() const {
-    return FirFilterState{std::vector<double>(taps_.size(), 0.0), 0};
-  }
+  /// Push one sample, get y[n] = sum_i c_i x[n-i].
+  [[nodiscard]] double process(double x);
 
-  /// Push one sample through \p st, get y[n] = sum_i c_i x[n-i].
-  [[nodiscard]] double process(FirFilterState& st, double x) const;
+  /// Resumable chunked transform: continues from the carried delay line and
+  /// carries it forward — bit-identical to streaming the chunk through
+  /// process().
+  [[nodiscard]] std::vector<double> filter_chunk(std::span<const double> x);
 
-  /// Resumable chunked transform: continues from \p st and carries it
-  /// forward — bit-identical to streaming the chunk through process().
-  [[nodiscard]] std::vector<double> filter_chunk(FirFilterState& st,
-                                                 std::span<const double> x) const;
-
-  // --- internal-state convenience view ---
-  [[nodiscard]] double process(double x) { return process(state_, x); }
-
-  /// Filter a whole signal as one tap-major chunk (state starts from zero;
-  /// same length out; bit-identical to streaming via process()).
+  /// Filter a whole signal as one chunk from a zeroed delay line.
   [[nodiscard]] std::vector<double> filter(std::span<const double> x);
 
-  /// Reset the internal delay line to zeros.
-  void reset();
-
-  [[nodiscard]] const std::vector<double>& taps() const noexcept { return taps_; }
-
-  /// Group delay of a linear-phase (symmetric/antisymmetric) FIR in samples.
-  [[nodiscard]] double group_delay() const noexcept {
-    return (static_cast<double>(taps_.size()) - 1.0) / 2.0;
-  }
+  /// Zero the delay line in place (no reallocation).
+  void reset() noexcept;
 
  private:
   std::vector<double> taps_;
-  FirFilterState state_;  ///< internal state backing the convenience view
+  /// Delay-line ring: `head_` is the next write slot, which always holds
+  /// the oldest retained sample.
+  std::vector<double> delay_;
+  std::size_t head_ = 0;
 };
 
 /// Complex frequency response H(e^{j 2 pi f / fs}) of a tap set.

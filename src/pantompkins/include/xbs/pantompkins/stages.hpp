@@ -8,11 +8,12 @@
 ///  - `process_chunk(x, y)` — the resumable chunked transform: consumes a
 ///    chunk of any size, carries the delay/window ring across calls, and
 ///    issues batched kernel calls (one fir_n per FIR chunk, one add_n per
-///    MWI adder-tree pair).
-/// Both perform exactly the same dataflow graph per output sample (same
-/// operands, same order, same operation counts), so outputs and OpCounts
-/// match bit for bit for any chunking and any interleaving of the two
-/// (tests/test_kernel_equivalence, tests/test_stream).
+///    distinct MWI tree-node shape).
+/// Every output sample is computed by the same dataflow graph in both views
+/// (same operands on the same ports, same order) and charged the same
+/// operation counts, so outputs and OpCounts match bit for bit for any
+/// chunking and any interleaving of the two (tests/test_kernel_equivalence,
+/// tests/test_stream).
 #pragma once
 
 #include <array>
@@ -111,8 +112,14 @@ class SquarerStage {
 
 /// The moving-window-integration stage: a feed-forward balanced tree of
 /// window-1 adds per sample (adder-only, no error feedback), then >> shift.
-/// The tree reduction order matches the netlist builder exactly; the chunked
-/// transform issues one add_n per tree-level pair over the whole chunk.
+/// The tree reduction order matches the netlist builder exactly.
+///
+/// The chunked transform shares subtrees across outputs: the node of shape S
+/// over window terms [a, a+s) of output i is the same add, of the same
+/// operands on the same ports, as the node of shape S over [a-d, a-d+s) of
+/// output i+d. It issues one uncounted add_n per distinct node shape (7 for
+/// the paper's 30-term window: ~7 adds per output instead of 29) and charges
+/// the hardware's window-1 adds per output through Kernel::charge.
 class MwiStage {
  public:
   MwiStage(int window, int out_shift, arith::Kernel& kernel);
@@ -124,18 +131,25 @@ class MwiStage {
   void reset() noexcept;
 
  private:
+  /// One distinct node shape of the window's adder tree: add(left, right),
+  /// after its children, so the last is the root. Shape 0 is the leaf.
+  struct Shape {
+    std::size_t left = 0;
+    std::size_t right = 0;
+    std::size_t span = 1;  ///< window terms covered
+    /// Range of the first covered term over the shape's nodes in one
+    /// output's tree: a chunk of n needs the nodes at offsets [lo, hi + n).
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    std::vector<i64> values;  ///< chunk scratch: node lo + j at [j]
+  };
+
   /// Window ring, same conventions as FirStage's delay line.
   std::vector<i32> window_;
   std::size_t head_ = 0;
   int out_shift_;
   arith::Kernel* kernel_;
-  std::vector<i64> padded_;  ///< chunk scratch
-  /// Chunk scratch: tree-level output buffers, ping-ponged by level parity
-  /// so a level recycles its grandparent level's buffers (levels strictly
-  /// shrink, and a carried odd leftover always has the highest index of its
-  /// parity, so it is never overwritten before its final read). Caps scratch
-  /// at ~two tree levels instead of one buffer per add of the whole tree.
-  std::array<std::vector<std::vector<i64>>, 2> pool_;
+  std::vector<Shape> shapes_;
 };
 
 /// One wired pipeline stage — taps/shift/window resolved from the paper's

@@ -79,8 +79,8 @@ std::vector<i32> run_stage(Stage s, const arith::StageArithConfig& cfg,
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
   StageProcessor stage(s, *kernel);
   // Fixed blocks through one resumable stage, bit-identical to one
-  // whole-record chunk: the MWI adder tree keeps ~15 i64 level buffers live,
-  // which for a 20k-sample record spill the L2; a block's stay in cache.
+  // whole-record chunk: MWI keeps a chunk-long i64 buffer per tree-node shape
+  // (~1.3 MB for a 20k-sample record); a block's stay in cache.
   std::vector<i32> out;
   out.reserve(input.size());
   std::vector<i32> block;

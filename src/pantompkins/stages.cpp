@@ -107,7 +107,42 @@ void SquarerStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
 MwiStage::MwiStage(int window, int out_shift, arith::Kernel& kernel)
     : out_shift_(out_shift), kernel_(&kernel) {
   if (window < 2) throw std::invalid_argument("MwiStage: window must be >= 2");
-  window_.assign(static_cast<std::size_t>(window), 0);
+  const auto w = static_cast<std::size_t>(window);
+  window_.assign(w, 0);
+
+  // Intern the node shapes of process()'s pairwise reduction, each as its
+  // (left, right) pair of child shapes.
+  shapes_.emplace_back();  // the leaf
+  std::vector<std::size_t> terms(w, 0);
+  while (terms.size() > 1) {
+    std::vector<std::size_t> next;
+    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
+      const std::size_t l = terms[i], r = terms[i + 1];
+      std::size_t s = 1;
+      while (s < shapes_.size() && (shapes_[s].left != l || shapes_[s].right != r)) ++s;
+      if (s == shapes_.size()) {
+        shapes_.push_back({l, r, shapes_[l].span + shapes_[r].span, 0, 0, {}});
+      }
+      next.push_back(s);
+    }
+    if (terms.size() % 2 == 1) next.push_back(terms.back());
+    terms = std::move(next);
+  }
+
+  // Offset ranges, from the root at offset 0 down: a node at offset a puts
+  // its left child at a and its right child at a + span(left). Walking the
+  // shapes backwards visits every parent of a shape before the shape.
+  for (Shape& sh : shapes_) sh.lo = w;
+  shapes_.back().lo = 0;
+  for (std::size_t s = shapes_.size() - 1; s > 0; --s) {
+    const Shape& p = shapes_[s];
+    Shape& l = shapes_[p.left];
+    Shape& r = shapes_[p.right];
+    l.lo = std::min(l.lo, p.lo);
+    l.hi = std::max(l.hi, p.hi);
+    r.lo = std::min(r.lo, p.lo + l.span);
+    r.hi = std::max(r.hi, p.hi + l.span);
+  }
 }
 
 void MwiStage::reset() noexcept {
@@ -143,48 +178,31 @@ i32 MwiStage::process(i32 x) {
 void MwiStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
   const std::size_t w = window_.size();
-  // History-prefixed input: for output i the window contents oldest-first
-  // are term k = padded[i + k] (k = 0..w-1); the first w-1 elements are the
-  // carried window samples oldest-first — the same window the per-sample
-  // path continues from (all zeros for a fresh stage).
-  padded_.resize(n + w - 1);
-  ring_history_prefix(window_, head_, padded_);
-  for (std::size_t i = 0; i < n; ++i) padded_[w - 1 + i] = x[i];
+  // Node j of shape S covers window terms [j, j + span(S)) of the
+  // history-prefixed input, whose first w-1 elements are the carried window
+  // samples oldest-first (all zeros for a fresh stage): the leaf's values
+  // are that input itself, so term k of output i is leaf node i + k.
+  std::vector<i64>& padded = shapes_.front().values;
+  padded.resize(n + w - 1);
+  ring_history_prefix(window_, head_, padded);
+  for (std::size_t i = 0; i < n; ++i) padded[w - 1 + i] = x[i];
 
-  // The per-sample path's pairwise tree, one add_n per pair per level. Terms
-  // are spans over either the padded input (level 0, leftovers) or buffers
-  // from the scratch pool; pairing order and odd-leftover placement mirror
-  // process() exactly.
-  std::vector<std::span<const i64>> terms;
-  terms.reserve(w);
-  for (std::size_t k = 0; k < w; ++k) {
-    terms.push_back(std::span<const i64>(padded_).subspan(k, n));
-  }
-  std::size_t parity = 0;
-  std::size_t used = 0;
-  auto next_buffer = [&]() -> std::vector<i64>& {
-    std::vector<std::vector<i64>>& pool = pool_[parity];
-    if (used == pool.size()) pool.emplace_back();
-    std::vector<i64>& buf = pool[used++];
-    buf.resize(n);
-    return buf;
+  // Bottom-up, one add_n per shape: N_S[j] = add(N_L[j], N_R[j + span(L)]),
+  // the left child on the A port as in process().
+  const auto nodes = [&](std::size_t s, std::size_t from, std::size_t len) {
+    return std::span<const i64>(shapes_[s].values).subspan(from - shapes_[s].lo, len);
   };
-  while (terms.size() > 1) {
-    std::vector<std::span<const i64>> next;
-    next.reserve(terms.size() / 2 + 1);
-    used = 0;  // recycle this parity's buffers (written two levels up)
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-      std::vector<i64>& out = next_buffer();
-      kernel_->add_n(terms[i], terms[i + 1], out);
-      next.push_back(out);
-    }
-    if (terms.size() % 2 == 1) next.push_back(terms.back());
-    terms = std::move(next);
-    parity ^= 1;
+  for (std::size_t s = 1; s < shapes_.size(); ++s) {
+    Shape& sh = shapes_[s];
+    const std::size_t len = sh.hi - sh.lo + n;
+    sh.values.resize(len);
+    kernel_->add_n_uncounted(nodes(sh.left, sh.lo, len),
+                             nodes(sh.right, sh.lo + shapes_[sh.left].span, len), sh.values);
   }
+  kernel_->charge(arith::OpCounts{.adds = n * (w - 1)});
 
   y.resize(n);
-  const std::span<const i64> sum = terms.front();
+  const std::vector<i64>& sum = shapes_.back().values;
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = static_cast<i32>(saturate_i32(sum[i] >> out_shift_));
   }

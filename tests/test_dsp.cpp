@@ -133,19 +133,19 @@ TEST(FirStreaming, ChunkedFilterBitIdenticalToBatchAndScalar) {
   }
   const auto batch = f.filter(x);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{13}, std::size_t{128}}) {
-    FirFilterState st = f.make_state();
+    f.reset();
     std::vector<double> streamed;
     for (std::size_t at = 0; at < x.size(); at += chunk) {
       const auto len = std::min(chunk, x.size() - at);
-      const auto y = f.filter_chunk(st, std::span<const double>(x).subspan(at, len));
+      const auto y = f.filter_chunk(std::span<const double>(x).subspan(at, len));
       streamed.insert(streamed.end(), y.begin(), y.end());
     }
     EXPECT_EQ(streamed, batch) << "chunk " << chunk;
   }
-  // Scalar streaming via the same explicit state matches too.
-  FirFilterState st = f.make_state();
+  // Scalar streaming through the same member state matches too.
+  f.reset();
   for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_DOUBLE_EQ(f.process(st, x[i]), batch[i]) << i;
+    EXPECT_DOUBLE_EQ(f.process(x[i]), batch[i]) << i;
   }
 }
 

@@ -6,6 +6,7 @@
 // per-sample process(x) — including operation counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -125,6 +126,23 @@ TEST(KernelEquivalence, ExactBatchedMatchesScalarOps) {
   for (std::size_t i = 0; i < kBlockLen; ++i) {
     EXPECT_EQ(acc[i], scalar.add(a[i], scalar.mul(-7, ma[i])));
   }
+}
+
+TEST(KernelEquivalence, UncountedAddCountsNothingAndChargeCountsExactly) {
+  const std::unique_ptr<Kernel> kernel = make_kernel(StageArithConfig::uniform(8));
+  Rng rng(12);
+  const std::vector<i64> a = random_adder_operands(rng, kBlockLen);
+  const std::vector<i64> b = random_adder_operands(rng, kBlockLen);
+  std::vector<i64> counted(kBlockLen);
+  std::vector<i64> uncounted(kBlockLen);
+  kernel->add_n(a, b, counted);
+  kernel->reset_counts();
+  kernel->add_n_uncounted(a, b, uncounted);
+  EXPECT_EQ(uncounted, counted);
+  EXPECT_EQ(kernel->counts(), OpCounts{});
+  kernel->charge(OpCounts{.adds = 29, .mults = 3});
+  kernel->charge(OpCounts{.adds = 1});
+  EXPECT_EQ(kernel->counts(), (OpCounts{.adds = 30, .mults = 3}));
 }
 
 TEST(KernelEquivalence, OpCountsMatchScalarTotals) {
@@ -263,6 +281,79 @@ TEST(StageShortChunkEquivalence, OneWarmTapTakesTheTapChain) {
     EXPECT_EQ(kernel.counts(), scalar_kernel.counts()) << to_string(add_kind);
     // The short chunk built no table: the cold taps stayed cold.
     EXPECT_EQ(arith::table_cache_stats(), before) << to_string(add_kind);
+  }
+}
+
+/// MWI input over the adders' range: magnitudes up to 2^30, so a window sum
+/// wraps the 32-bit adders.
+std::vector<i32> wide_signal(std::size_t n, u64 seed) {
+  Rng rng(seed);
+  std::vector<i32> x(n);
+  for (i32& v : x) v = static_cast<i32>(rng.uniform_int(-(i64{1} << 30), i64{1} << 30));
+  return x;
+}
+
+/// Streams \p x through MwiStage::process_chunk, for chunk sizes on either
+/// side of the window and of run_stage's 1024-sample block, against the
+/// literal per-sample tree (process(x)): outputs, op counts, and the window
+/// carried on afterwards. Shift 0 keeps every bit of the tree's sum.
+void expect_chunked_mwi_matches(const arith::StageArithConfig& cfg, int window,
+                                std::span<const i32> x) {
+  const std::vector<i32> tail = {7, 1 << 30, -(1 << 30), 12345};
+  arith::ApproxKernel scalar_kernel(cfg);
+  MwiStage scalar(window, 0, scalar_kernel);
+  std::vector<i32> want;
+  for (const i32 v : x) want.push_back(scalar.process(v));
+  const arith::OpCounts want_counts = scalar_kernel.counts();
+  std::vector<i32> want_tail;
+  for (const i32 v : tail) want_tail.push_back(scalar.process(v));
+
+  for (const std::size_t chunk : {1, 2, 3, 29, 30, 31, 64, 1023, 1024, 1025}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window << ", chunk " << chunk);
+    const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
+    MwiStage block(window, 0, *kernel);
+    std::vector<i32> got;
+    std::vector<i32> y;
+    for (std::size_t at = 0; at < x.size(); at += chunk) {
+      block.process_chunk(x.subspan(at, std::min(chunk, x.size() - at)), y);
+      got.insert(got.end(), y.begin(), y.end());
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(kernel->counts(), want_counts);
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(block.process(tail[i]), want_tail[i]) << i;
+    }
+    EXPECT_EQ(kernel->counts(), scalar_kernel.counts());
+  }
+}
+
+/// Shared-subtree MWI on the paper's 30-term window, every adder kind from
+/// exact to a fully approximate 32-bit adder. Adder-only configs: MWI has
+/// no multiplier.
+class MwiSharedSubtree : public ::testing::TestWithParam<std::tuple<AdderKind, int>> {};
+
+TEST_P(MwiSharedSubtree, ChunkedMatchesPerSampleTree) {
+  const auto [add_kind, lsbs] = GetParam();
+  arith::StageArithConfig cfg;
+  cfg.adder = arith::AdderConfig{32, lsbs, add_kind, 0};
+  expect_chunked_mwi_matches(cfg, dsp::pt::kMwiWindow, wide_signal(2111, 8));
+}
+
+INSTANTIATE_TEST_SUITE_P(KindsAndLsbs, MwiSharedSubtree,
+                         ::testing::Combine(::testing::ValuesIn(kAllAdderKinds),
+                                            ::testing::Values(0, 4, 10, 16, 32)));
+
+TEST(MwiSharedSubtreeWindows, EveryWindowWithPortAsymmetricAdder) {
+  // AMA5's approximate sum bits are the B operand's: swapping a node's
+  // ports changes its value, so every tree shape must keep its port order.
+  const std::vector<i32> x = wide_signal(2111, 9);
+  for (const int lsbs : {16, 32}) {
+    arith::StageArithConfig cfg;
+    cfg.adder = arith::AdderConfig{32, lsbs, AdderKind::Approx5, 0};
+    for (const int window : {2, 3, 4, 5, 7, 16, 30, 31, 32}) {
+      SCOPED_TRACE(::testing::Message() << "lsbs " << lsbs);
+      expect_chunked_mwi_matches(cfg, window, x);
+    }
   }
 }
 

@@ -108,6 +108,46 @@ TEST(Mwi, AdderOnlyOpCounts) {
   EXPECT_EQ(kernel.counts().adds, 290u);  // 29 adds per sample
 }
 
+TEST(Mwi, ChunkChargesWindowMinusOneAddsPerOutput) {
+  // The chunked transform runs fewer adds than the hardware tree (shared
+  // subtrees) but charges the tree's window-1 adds per output, like process().
+  for (const int window : {2, 3, 30, 31}) {
+    arith::ExactKernel kernel;
+    MwiStage mwi(window, 0, kernel);
+    std::vector<i32> y;
+    for (const std::size_t n : {1, 64, 1024}) {
+      const arith::OpCounts before = kernel.counts();
+      mwi.process_chunk(std::vector<i32>(n, 100), y);
+      EXPECT_EQ(kernel.counts().adds - before.adds, n * static_cast<std::size_t>(window - 1))
+          << "window " << window << ", n " << n;
+      EXPECT_EQ(kernel.counts().mults, 0u);
+    }
+  }
+}
+
+TEST(Mwi, EmptyChunkIsNoOp) {
+  arith::ExactKernel kernel;
+  arith::ExactKernel twin_kernel;
+  MwiStage mwi(30, 0, kernel);
+  MwiStage twin(30, 0, twin_kernel);
+  const std::vector<i32> x = {5, 9, 1 << 30, -3, 77};
+  std::vector<i32> y;
+  std::vector<i32> twin_y;
+  mwi.process_chunk(x, y);
+  twin.process_chunk(x, twin_y);
+
+  y.assign(3, -1);
+  mwi.process_chunk({}, y);
+  EXPECT_TRUE(y.empty());
+  EXPECT_EQ(kernel.counts(), twin_kernel.counts());
+  // The carried window is untouched: both stages continue identically.
+  mwi.process_chunk(x, y);
+  twin.process_chunk(x, twin_y);
+  EXPECT_EQ(y, twin_y);
+  EXPECT_EQ(mwi.process(11), twin.process(11));
+  EXPECT_EQ(kernel.counts(), twin_kernel.counts());
+}
+
 TEST(Mwi, InvalidWindowThrows) {
   arith::ExactKernel kernel;
   EXPECT_THROW(MwiStage(1, 0, kernel), std::invalid_argument);
