@@ -9,7 +9,9 @@
 // never-built configs of the churn shape {k, k-1, 0, 0, 0} (AMA4/AMA5,
 // k = 2, 4, ..., 16), timed before anything else builds a table; the
 // checksum over every table they built is read through each usable ISA
-// tier's gather and must agree across tiers.
+// tier's gather and must agree across tiers. The `isa_ops` rows time each
+// usable tier's gather and wired add, and the whole batched LPF and HPF
+// blocks (`fir_lpf_block`, `fir_hpf_block`), checksummed against baseline.
 //
 //   ./bench_micro_kernel [--samples N] [--iters K] [--lsbs L]
 //
@@ -22,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,13 +86,15 @@ PathResult run_scalar(arith::Kernel& kernel, const std::vector<i32>& x, int iter
 }
 
 /// Run the signal through the chunked transform as one whole-record chunk
-/// (one batched fir_n call).
-PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int iters) {
+/// (one batched fir_n call) of the LPF, or of the given taps.
+PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int iters,
+                       std::span<const int> taps = dsp::pt::kLpfTaps,
+                       int shift = dsp::pt::kLpfShift) {
   PathResult r;
   double best = 1e300;
   std::vector<i32> y;
   for (int it = 0; it < iters; ++it) {
-    pantompkins::FirStage fir(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
+    pantompkins::FirStage fir(taps, shift, kernel);
     const double t0 = now_s();
     fir.process_chunk(x, y);
     best = std::min(best, now_s() - t0);
@@ -251,6 +256,8 @@ int main(int argc, char** argv) {
     for (i64& v : a) v = rng.uniform_int(-2000000000, 2000000000);
     for (i64& v : b) v = rng.uniform_int(-2000000000, 2000000000);
     const arith::WiredAddParams wp{32, isa_ops_lsbs, true, false};
+    // Untimed: builds the HPF's coefficient tables.
+    (void)run_batched(*approx_kernel, x, 1, dsp::pt::kHpfTaps, dsp::pt::kHpfShift);
 
     for (const arith::Isa isa : arith::kAllIsas) {
       const arith::KernelOps* ops = arith::kernel_ops_for(isa);
@@ -290,6 +297,14 @@ int main(int argc, char** argv) {
       fir_row.op = "fir_lpf_block";
       fir_row.sps = fir.samples_per_sec;
       fir_row.checksum = fir.checksum;
+      isa_rows.push_back(fir_row);
+
+      // The HPF block: 32 taps over two distinct coefficients.
+      const PathResult hpf =
+          run_batched(*approx_kernel, x, iters, dsp::pt::kHpfTaps, dsp::pt::kHpfShift);
+      fir_row.op = "fir_hpf_block";
+      fir_row.sps = hpf.samples_per_sec;
+      fir_row.checksum = hpf.checksum;
       isa_rows.push_back(fir_row);
     }
     (void)arith::force_kernel_isa_auto();

@@ -96,4 +96,42 @@ BENCHMARK(BM_MwiStage)
     ->Args({16, 1024})
     ->Unit(benchmark::kMicrosecond);
 
+/// One FIR stage alone over its input in the exact pipeline, fed in chunks
+/// of range(2) samples: stage range(0) (0 LPF, 1 HPF, 2 DER), exact
+/// (range(1) = 0) or AMA5 at range(1) LSBs, its tables warmed untimed. The
+/// charged counters are the kernel's counted ops per output, which model
+/// the per-tap hardware chain (HPF 32/31, LPF 11/10, DER 4/3) whatever the
+/// software runs.
+void BM_FirStage(benchmark::State& state) {
+  static const pantompkins::PipelineResult exact =
+      pantompkins::PanTompkinsPipeline().run_filters(record().adu);
+  const auto s = static_cast<std::size_t>(state.range(0));
+  const std::vector<i32>& x = s == 0 ? record().adu : s == 1 ? exact.lpf : exact.hpf;
+  const auto chunk = static_cast<std::size_t>(state.range(2));
+  const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(
+      arith::StageArithConfig::uniform(static_cast<int>(state.range(1)), AdderKind::Approx5));
+  pantompkins::StageProcessor fir(pantompkins::kAllStages[s], *kernel);
+  std::vector<i32> y;
+  fir.process_chunk(x, y);  // one record-long chunk builds every table
+  fir.reset();
+  kernel->reset_counts();
+  for (auto _ : state) {
+    for (std::size_t at = 0; at < x.size(); at += chunk) {
+      fir.process_chunk(std::span<const i32>(x).subspan(at, std::min(chunk, x.size() - at)), y);
+      benchmark::DoNotOptimize(y.data());
+    }
+  }
+  const auto samples = static_cast<double>(state.iterations()) * static_cast<double>(x.size());
+  state.counters["time_per_sample"] =
+      benchmark::Counter(samples, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["charged_mults_per_sample"] =
+      static_cast<double>(kernel->counts().mults) / samples;
+  state.counters["charged_adds_per_sample"] = static_cast<double>(kernel->counts().adds) / samples;
+  state.SetItemsProcessed(static_cast<i64>(samples));
+}
+BENCHMARK(BM_FirStage)
+    ->ArgNames({"stage", "lsbs", "chunk"})
+    ->ArgsProduct({{0, 1, 2}, {0, 12}, {64, 1024}})
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace

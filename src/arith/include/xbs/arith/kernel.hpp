@@ -78,6 +78,16 @@ struct StageArithConfig {
   friend constexpr bool operator==(const StageArithConfig&, const StageArithConfig&) = default;
 };
 
+/// fir_n scratch of the sum form, reused across chunks (single-consumer
+/// like the op counters).
+struct FirSumScratch {
+  std::vector<u32> rows;          ///< one sum-form row per distinct coefficient
+  std::vector<i64> gathered;      ///< ApproxKernel: one coefficient's products
+  std::vector<i16> x16;           ///< ExactKernel: the multiplier's operands
+  std::vector<const u32*> views;  ///< each non-zero tap's shifted row
+  std::vector<u32> sums;          ///< each output's row sum
+};
+
 /// Block-granular datapath. The public `*_n` entry points count operations
 /// once per block (n ops per call, identical totals to the scalar path) and
 /// dispatch a single virtual call; the `*_impl` hooks run the tight loops.
@@ -144,14 +154,24 @@ class Kernel {
   /// Whole FIR convolution over a history-prefixed input: with T = taps.size()
   /// and n = acc.size(), `padded` holds T-1 carried samples followed by the n
   /// new ones (padded.size() == n + T - 1), and tap j of output i reads
-  /// padded[T-1-j+i]. Per output sample the non-zero taps are multiplied in
-  /// tap order and accumulated through the chain
-  /// acc = add(acc, mul(c_j, x_j)) — exactly the per-tap mul_cn/mac_n
-  /// sequence, and counted identically (n multiplies per non-zero tap, n adds
-  /// per accumulation) — but exposed as one call so a backend can hoist
-  /// per-coefficient work out of the tap loop (ApproxKernel computes one
-  /// product row per *distinct* coefficient and turns the tap loop into pure
-  /// adds). \p padded must not alias \p acc.
+  /// padded[T-1-j+i]. Per output sample the m non-zero taps' products
+  /// p_0 .. p_{m-1} (tap order) are accumulated through the chain
+  /// acc = add(acc, p_t) — exactly the per-tap mul_cn/mac_n sequence, and
+  /// counted identically (n multiplies per non-zero tap, n adds per
+  /// accumulation): the counts model the per-tap hardware chain whatever
+  /// the backend runs. \p padded must not alias \p acc.
+  ///
+  /// Where the w-bit adder chain (w <= 32, k = approximate bits, hmask the
+  /// accurate bits k..w-1) has a closed form, the backends compute it as one
+  /// modular sum of product rows (one row per *distinct* coefficient), sign
+  /// extended from w bits; m = 1 is the raw product:
+  ///  - exact adder: sum of p_t mod 2^w;
+  ///  - AMA5 (Sum = B, Cout = A): the low bits are p_{m-1}'s, and the high
+  ///    part sums every p_t & hmask plus the carry bit k-1 of p_0 .. p_{m-2};
+  ///  - AMA4 (Sum = NOT A, Cout = A): with a = m-1 adds and b = bit k-1 of
+  ///    p_0, the high part sums every p_t & hmask plus floor(a/2) + b(a&1)
+  ///    carries, and the low bits are p_0's (a even) or ~p_0's (a odd).
+  /// AMA1-AMA3, wider adders and cold coefficient tables run the chain.
   void fir_n(std::span<const int> taps, std::span<const i64> padded, std::span<i64> acc) {
     std::size_t nonzero = 0;
     for (const int c : taps) nonzero += (c != 0);
@@ -184,6 +204,8 @@ class Kernel {
   virtual void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
                           std::span<i64> acc) const;
 
+  mutable FirSumScratch fir_scratch_;
+
  private:
   OpCounts counts_;
 };
@@ -203,34 +225,25 @@ class ExactKernel final : public Kernel {
                   std::span<i64> out) const override;
   void mul_n_impl(std::span<const i64> a, std::span<const i64> b,
                   std::span<i64> out) const override;
-  void mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const override;
-  void mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const override;
+  void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
+                  std::span<i64> acc) const override;
 };
 
 /// Bit-accurate approximate backend for one stage configuration, compiled
 /// into branch-free table-driven inner loops.
 ///
-/// Hoisted out of the inner loops, once per kernel lifetime:
-///  - the ripple-carry adder model (config decode + approx-region clamp),
-///  - the recursive-multiplier behavioural model (its 4x4/8x8 LUTs),
-/// and, lazily per distinct coefficient, a full *signed* product table
-/// `P[u] = mul1(c, sign_extend(u, w))` covering every w-bit operand pattern —
-/// so the FIR-critical `mul_cn`/`mac_n` are pure table walks: one masked
-/// load (plus one closed-form approximate add for the MAC) per sample, no
-/// sign fix, no multiplier simulation. The squaring pattern `mul_n` with
-/// `a.data() == b.data()` likewise resolves to a per-config 2^w-entry square
-/// table (`S[u] = mul1(x, x)`), turning the Pan-Tompkins SQR stage into one
-/// load per sample. The table walks and the wired-add loops run through the
-/// runtime-dispatched vector tier (isa.hpp): gathered LUT loads and 4/8-lane
-/// closed-form adds on AVX2/AVX-512 hardware, the scalar loops elsewhere —
-/// every tier bit-identical by construction. Tables are cached process-wide
-/// keyed by
-/// (MultiplierConfig, coefficient), matching the get_multiplier() cache
-/// idiom; the caches are internally synchronized and the published tables
-/// immutable, so kernels in different threads (one per stream::Session)
-/// share them safely. A Kernel instance itself is single-consumer
-/// (mutable op counters and per-kernel table pointers) — give each session
-/// its own.
+/// Hoisted once per kernel: the adder model and the multiplier's
+/// behavioural model; lazily per distinct coefficient, a full *signed*
+/// product table `P[u] = mul1(c, sign_extend(u, w))` over every w-bit operand
+/// pattern, so the FIR's products are gathered table loads (fir_n sums them
+/// in closed form); the squaring pattern `mul_n` with `a.data() == b.data()`
+/// likewise walks a per-config square table (`S[u] = mul1(x, x)`). Gathers
+/// and wired adds run through the runtime-dispatched vector tier (isa.hpp),
+/// every tier bit-identical. Tables are cached process-wide keyed by
+/// (MultiplierConfig, coefficient); the caches are synchronized and the
+/// tables immutable, so kernels in different threads share them. A Kernel
+/// itself is single-consumer (op counters, table pointers, scratch): give
+/// each session its own.
 class ApproxKernel final : public Kernel {
  public:
   explicit ApproxKernel(const StageArithConfig& cfg);
@@ -282,9 +295,6 @@ class ApproxKernel final : public Kernel {
   mutable std::vector<CoeffTable> coeff_tables_;  ///< tiny per-kernel LRU-less cache
   mutable const i64* square_ = nullptr;  ///< hoisted square-table pointer
   mutable std::shared_ptr<const TableVec> square_owner_;
-  /// fir_n scratch: one product row per distinct coefficient (reused across
-  /// chunks; single-consumer like the op counters).
-  mutable std::vector<std::vector<i64>> fir_rows_;
 };
 
 /// Build the right backend for a stage configuration: the exact native kernel

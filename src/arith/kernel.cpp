@@ -1,6 +1,7 @@
 #include "xbs/arith/kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 
@@ -72,6 +73,138 @@ void Kernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
   if (first) std::fill(acc.begin(), acc.end(), i64{0});
 }
 
+// -------------------------------------------------------------- FIR sum form
+
+namespace {
+
+/// The adder chains fir_n evaluates as one modular sum (kernel.hpp).
+enum class ChainForm { Wrap, Ama4, Ama5 };
+
+/// A tap set's distinct non-zero coefficients in tap order (n = 65: more
+/// than 64).
+struct FirCoeffs {
+  std::array<int, 64> c;
+  std::size_t n = 0;
+  std::size_t nonzero = 0;
+
+  explicit FirCoeffs(std::span<const int> taps) {
+    for (const int v : taps) {
+      if (v == 0) continue;
+      ++nonzero;
+      if (n > 64 || index_of(v) < n) continue;
+      if (n < 64) c[n] = v;
+      ++n;
+    }
+  }
+  [[nodiscard]] std::size_t index_of(i64 v) const {
+    const auto* last = c.data() + n;
+    return static_cast<std::size_t>(std::find(c.data(), last, v) - c.data());
+  }
+};
+
+/// Word constants of an m-tap chain through a w-bit adder (w <= 32) with k
+/// approximate bits. The arithmetic wraps u32 by design (every form is a
+/// sum mod 2^w, masked and sign-extended at the end), so it is exempt from
+/// the -fsanitize=integer checks.
+template <ChainForm F>
+struct Chain {
+  u32 hmask, lowk, cunit, half, flip;  // flip: all ones when m-1 is odd
+  int bshift, sh;
+
+  /// A product's term in the row sum.
+  XBS_NO_SANITIZE_INTEGER [[nodiscard]] u32 term(u32 p) const {
+    if constexpr (F == ChainForm::Ama5) return (p & hmask) + ((p << 1) & cunit);
+    if constexpr (F == ChainForm::Ama4) return p & hmask;
+    return p;
+  }
+  /// One output from its row sum \p s and the boundary tap's product \p pb
+  /// (AMA5: the last tap, whose carry the sum over-counts; AMA4: the first).
+  XBS_NO_SANITIZE_INTEGER [[nodiscard]] i64 out(u32 s, u32 pb) const {
+    if constexpr (F == ChainForm::Ama5) {
+      s = ((s - ((pb << 1) & cunit)) & hmask) | (pb & lowk);
+    } else if constexpr (F == ChainForm::Ama4) {
+      const u32 carries = half + ((pb >> bshift) & flip & 1u);
+      s = ((s + carries * cunit) & hmask) | ((pb ^ flip) & lowk);
+    }
+    return static_cast<i32>(s << sh) >> sh;
+  }
+};
+
+constexpr std::size_t kFirBlock = 16;  ///< outputs summed per register block
+
+/// fir_n as one modular sum (m >= 1 non-zero taps, n >= 1 outputs):
+/// `prepare(d)` readies distinct coefficient d, after which `prod(u)` is its
+/// product with padded[u] (u < len) as u32. Each row is built in its sum
+/// form in one pass; every output block sums the taps' shifted rows in
+/// registers. Products are sign-magnitude (get_signed_coeff_products), so c
+/// and -c share one prepare() unless c's low `key_bits` bits are the most
+/// negative key, which is its own negation.
+template <ChainForm F, class Prepare, class Prod>
+XBS_NO_SANITIZE_INTEGER void fir_sum(std::span<const int> taps, const FirCoeffs& fc,
+                                     std::size_t len, int w, int k, int key_bits,
+                                     std::span<i64> acc, FirSumScratch& s,
+                                     const Prepare& prepare, const Prod& prod) {
+  const std::size_t T = taps.size();
+  const std::size_t n = acc.size();
+  const std::size_t stride = T - 1 + (n + kFirBlock - 1) / kFirBlock * kFirBlock;
+  const std::size_t a = fc.nonzero - 1;  // adds per output
+  const Chain<F> ch{static_cast<u32>(low_mask(w) & ~low_mask(k)), static_cast<u32>(low_mask(k)),
+                    static_cast<u32>(u64{1} << k), static_cast<u32>(a / 2),
+                    (a & 1) != 0 ? ~u32{0} : 0, std::max(k - 1, 0), 32 - w};
+  std::size_t jb = T;  // boundary tap: AMA5's last non-zero, AMA4's first
+  for (std::size_t j = 0; j < T; ++j) {
+    if (taps[j] != 0 && (F == ChainForm::Ama5 || jb == T)) jb = j;
+  }
+  const auto negation_of = [&](std::size_t d) {
+    const i64 c = fc.c[d];
+    return to_unsigned_bits(c, key_bits) == u64{1} << (key_bits - 1) ? fc.n : fc.index_of(-c);
+  };
+  // Rows are built in pairs (c, -c) over whole blocks (the last block reads
+  // past n); the boundary tap's pair goes last, so its products are what
+  // prod() still reads in the final pass.
+  s.rows.resize(fc.n * stride);
+  const std::size_t db = fc.index_of(taps[jb]);
+  u64 built = 0;
+  for (std::size_t i = 0; i <= fc.n; ++i) {
+    const std::size_t d = i == fc.n ? db : i;
+    const std::size_t e = negation_of(d);
+    if ((built >> d & 1u) != 0 || (i < fc.n && (d == db || e == db))) continue;
+    prepare(d);
+    u32* XBS_RESTRICT row = s.rows.data() + d * stride;
+    if (e == fc.n) {
+      for (std::size_t u = 0; u < len; ++u) row[u] = ch.term(prod(u));
+    } else {
+      u32* XBS_RESTRICT neg = s.rows.data() + e * stride;
+      for (std::size_t u = 0; u < len; ++u) {
+        const u32 p = prod(u);
+        row[u] = ch.term(p);
+        neg[u] = ch.term(0u - p);
+      }
+      built |= u64{1} << e;
+    }
+    built |= u64{1} << d;
+  }
+  s.views.clear();
+  for (std::size_t j = 0; j < T; ++j) {
+    if (taps[j] != 0) s.views.push_back(s.rows.data() + fc.index_of(taps[j]) * stride + T - 1 - j);
+  }
+  s.sums.resize(stride);
+  u32* XBS_RESTRICT sums = s.sums.data();
+  for (std::size_t i0 = 0; i0 < n; i0 += kFirBlock) {
+    u32 sum[kFirBlock] = {};
+    for (const u32* view : s.views) {
+      const u32* XBS_RESTRICT r = view + i0;
+      for (std::size_t l = 0; l < kFirBlock; ++l) sum[l] += r[l];
+    }
+    for (std::size_t l = 0; l < kFirBlock; ++l) sums[i0 + l] = sum[l];
+  }
+  // A separate pass: fused into the block loop, the boundary terms keep the
+  // compiler from holding the block sums in registers.
+  for (std::size_t i = 0; i < n; ++i) acc[i] = ch.out(sums[i], prod(T - 1 - jb + i));
+}
+
+}  // namespace
+
 // ----------------------------------------------------------------- ExactKernel
 
 i64 ExactKernel::add1(i64 a, i64 b) const {
@@ -129,25 +262,25 @@ void ExactKernel::mul_n_impl(std::span<const i64> a, std::span<const i64> b,
   }
 }
 
-void ExactKernel::mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const {
-  const i64 sc = static_cast<i16>(static_cast<u16>(c));
-  const i64* XBS_RESTRICT px = x.data();
-  i64* XBS_RESTRICT po = out.data();
-  const std::size_t n = out.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    po[i] = sc * static_cast<i64>(static_cast<i16>(static_cast<u16>(px[i])));
+void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
+                             std::span<i64> acc) const {
+  // The 32-bit wrapping chain is a plain sum, and |c16 * x16| <= 2^30: the
+  // u32 product rows are the sum form already.
+  const FirCoeffs fc(taps);
+  if (fc.n > 64 || fc.nonzero == 0 || acc.empty()) {
+    Kernel::fir_n_impl(taps, padded, acc);
+    return;
   }
-}
-
-void ExactKernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const {
-  const i64 sc = static_cast<i16>(static_cast<u16>(c));
-  const i64* XBS_RESTRICT px = x.data();
-  i64* XBS_RESTRICT pa = acc.data();
-  const std::size_t n = acc.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const i64 p = sc * static_cast<i64>(static_cast<i16>(static_cast<u16>(px[i])));
-    pa[i] = static_cast<i32>(static_cast<u32>(pa[i] + p));
+  std::vector<i16>& x16 = fir_scratch_.x16;
+  x16.resize(padded.size());
+  for (std::size_t u = 0; u < x16.size(); ++u) {
+    x16[u] = static_cast<i16>(static_cast<u16>(padded[u]));
   }
+  i32 sc = 0;
+  const i16* XBS_RESTRICT px = x16.data();
+  const auto prepare = [&](std::size_t d) { sc = static_cast<i16>(static_cast<u16>(fc.c[d])); };
+  const auto prod = [&](std::size_t u) { return static_cast<u32>(sc * i32{px[u]}); };
+  fir_sum<ChainForm::Wrap>(taps, fc, padded.size(), 32, 0, 16, acc, fir_scratch_, prepare, prod);
 }
 
 // ---------------------------------------------------------------- ApproxKernel
@@ -265,67 +398,39 @@ void ApproxKernel::mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out
 
 void ApproxKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
                               std::span<i64> acc) const {
-  // Product-row compilation: the tap loop re-reads the same input samples
-  // once per tap, so gather the signed products P_c[x] once per *distinct*
-  // coefficient over the whole padded window and reduce the tap loop to pure
-  // carry-free adds over shifted row views. Bit-identical to the per-tap
-  // chain: the products are the same table loads, the adds the same wired
-  // closed forms, in the same tap order.
-  const std::size_t T = taps.size();
+  // Rows gather from the warm signed tables. A cold table (below the build
+  // threshold), a wide or an AMA1-AMA3 adder takes the reference chain, and
+  // so does one tap: its raw product need not fit the adder.
   const std::size_t n = acc.size();
-  if (n == 0) return;
-
-  // Distinct non-zero coefficients, and each tap's row index.
-  i32 distinct[64];
-  std::size_t n_distinct = 0;
-  std::size_t nonzero = 0;
-  bool tables_ok = true;
-  for (std::size_t j = 0; j < T && tables_ok; ++j) {
-    const int c = taps[j];
-    if (c == 0) continue;
-    ++nonzero;
-    bool seen = false;
-    for (std::size_t d = 0; d < n_distinct; ++d) seen |= (distinct[d] == c);
-    if (!seen) {
-      if (n_distinct == 64 || coeff_table(c, n) == nullptr) {
-        tables_ok = false;  // cold table (or absurd tap set): take the chain
-        break;
-      }
-      distinct[n_distinct++] = c;
-    }
+  const FirCoeffs fc(taps);
+  const AdderConfig& ad = cfg_.adder;
+  const int k = std::clamp(ad.approx_lsbs - ad.weight_offset, 0, ad.width);
+  bool sum_form = fc.n <= 64 && fc.nonzero >= 2 && n > 0 && ad.width <= 32 &&
+                  (k == 0 || ad.kind == AdderKind::Accurate || wired_);
+  std::array<const i64*, 64> tables;
+  for (std::size_t d = 0; sum_form && d < fc.n; ++d) {
+    tables[d] = coeff_table(fc.c[d], n);
+    sum_form = tables[d] != nullptr;
   }
-  if (!tables_ok || nonzero == 0 || !wired_) {
+  if (!sum_form) {
     Kernel::fir_n_impl(taps, padded, acc);
     return;
   }
-
-  const u64 mmask = low_mask(cfg_.mult.width);
+  std::vector<i64>& g = fir_scratch_.gathered;
+  g.resize(padded.size());
   const KernelOps& ops = kernel_ops();
-  fir_rows_.resize(n_distinct);
-  for (std::size_t d = 0; d < n_distinct; ++d) {
-    const i64* prod = coeff_table(distinct[d], n);
-    std::vector<i64>& row = fir_rows_[d];
-    row.resize(padded.size());
-    ops.gather_lut_n(prod, mmask, padded.data(), row.data(), padded.size());
-  }
-  auto row_of = [&](int c) -> const i64* {
-    for (std::size_t d = 0; d < n_distinct; ++d) {
-      if (distinct[d] == c) return fir_rows_[d].data();
-    }
-    return nullptr;  // unreachable
+  const auto prepare = [&](std::size_t d) {
+    ops.gather_lut_n(tables[d], low_mask(cfg_.mult.width), padded.data(), g.data(), g.size());
   };
-
-  bool first = true;
-  for (std::size_t j = 0; j < T; ++j) {
-    if (taps[j] == 0) continue;
-    const i64* row = row_of(taps[j]) + (T - 1 - j);
-    if (first) {
-      std::copy_n(row, n, acc.data());
-      first = false;
-    } else {
-      // In-place accumulate (out aliases a element-wise — loop contract).
-      ops.wired_add_n(acc.data(), row, acc.data(), n, wired_params_);
-    }
+  const i64* XBS_RESTRICT pg = g.data();
+  const auto prod = [pg](std::size_t u) { return static_cast<u32>(pg[u]); };
+  const int kb = cfg_.mult.width;
+  if (!wired_) {
+    fir_sum<ChainForm::Wrap>(taps, fc, g.size(), ad.width, 0, kb, acc, fir_scratch_, prepare, prod);
+  } else if (wired_params_.sum_is_b) {
+    fir_sum<ChainForm::Ama5>(taps, fc, g.size(), ad.width, k, kb, acc, fir_scratch_, prepare, prod);
+  } else {
+    fir_sum<ChainForm::Ama4>(taps, fc, g.size(), ad.width, k, kb, acc, fir_scratch_, prepare, prod);
   }
 }
 

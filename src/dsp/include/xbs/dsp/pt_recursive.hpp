@@ -14,11 +14,10 @@
 /// test suite, which pins the FIR tap derivation to the original
 /// publication.
 ///
-/// Both filters are exposed as streaming classes with an explicit carry-over
-/// State (the recursive taps: recent inputs plus output feedback), so they
-/// compose with the chunked session API; the whole-record functions are
-/// fresh-state one-chunk wrappers and remain bit-identical to the original
-/// batch evaluation.
+/// Both filters are streaming classes holding their recursive taps (recent
+/// inputs plus output feedback) as member state, so they compose with the
+/// chunked session API; the whole-record functions are one-chunk runs of a
+/// fresh filter, bit-identical to the original batch evaluation.
 #pragma once
 
 #include <array>
@@ -31,48 +30,38 @@ namespace xbs::dsp {
 /// accumulator).
 class PtRecursiveLpf {
  public:
-  /// Recursive-filter taps carried across chunks: the last 12 inputs (ring,
-  /// `head` = next write slot = x[n-12]) and the last two outputs.
-  struct State {
-    std::array<double, 12> x{};
-    std::size_t head = 0;
-    double y1 = 0.0, y2 = 0.0;
+  [[nodiscard]] double process(double x) noexcept;
+  /// Resumable chunked transform: continues from the carried taps.
+  [[nodiscard]] std::vector<double> process_chunk(std::span<const double> x);
+  /// Back to the fresh-record state.
+  void reset() noexcept { *this = PtRecursiveLpf{}; }
 
-    /// Back to the fresh-record state.
-    void reset() noexcept { *this = State{}; }
-  };
-
-  [[nodiscard]] static State make_state() noexcept { return State{}; }
-  [[nodiscard]] static double process(State& st, double x) noexcept;
-  [[nodiscard]] static std::vector<double> process_chunk(State& st,
-                                                         std::span<const double> x);
+ private:
+  std::array<double, 12> x_{};  ///< last 12 inputs; x_[head_] is x[n-12]
+  std::size_t head_ = 0;
+  double y1_ = 0.0, y2_ = 0.0;
 };
 
 /// Streaming recursive HPF over the *normalized* LPF output, gain 32 (like
 /// the FIR accumulator before its >>5).
 class PtRecursiveHpf {
  public:
-  /// The last 32 inputs (ring, `head` = next write slot = x[n-32]) and the
-  /// last output.
-  struct State {
-    std::array<double, 32> x{};
-    std::size_t head = 0;
-    double y1 = 0.0;
+  [[nodiscard]] double process(double x) noexcept;
+  /// Resumable chunked transform: continues from the carried taps.
+  [[nodiscard]] std::vector<double> process_chunk(std::span<const double> x);
+  /// Back to the fresh-record state.
+  void reset() noexcept { *this = PtRecursiveHpf{}; }
 
-    /// Back to the fresh-record state.
-    void reset() noexcept { *this = State{}; }
-  };
-
-  [[nodiscard]] static State make_state() noexcept { return State{}; }
-  [[nodiscard]] static double process(State& st, double x) noexcept;
-  [[nodiscard]] static std::vector<double> process_chunk(State& st,
-                                                         std::span<const double> x);
+ private:
+  std::array<double, 32> x_{};  ///< last 32 inputs; x_[head_] is x[n-32]
+  std::size_t head_ = 0;
+  double y1_ = 0.0;
 };
 
-/// Whole-record recursive LPF (fresh-state wrapper over PtRecursiveLpf).
+/// Whole-record recursive LPF (one chunk through a fresh PtRecursiveLpf).
 [[nodiscard]] std::vector<double> pt_recursive_lpf(std::span<const double> x);
 
-/// Whole-record recursive HPF (fresh-state wrapper over PtRecursiveHpf).
+/// Whole-record recursive HPF (one chunk through a fresh PtRecursiveHpf).
 [[nodiscard]] std::vector<double> pt_recursive_hpf(std::span<const double> x);
 
 }  // namespace xbs::dsp

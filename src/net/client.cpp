@@ -184,13 +184,6 @@ StatsFrame NetClient::close_session() {
   return wait_stats();
 }
 
-StatsFrame NetClient::reset_session(bool warm) {
-  std::vector<u8> buf;
-  encode_reset(buf, warm);
-  send_all(buf);
-  return wait_stats();
-}
-
 std::size_t NetClient::take_events(std::vector<stream::Event>& out) {
   poll_socket();
   FrameHeader hdr;

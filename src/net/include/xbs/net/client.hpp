@@ -69,9 +69,6 @@ class NetClient {
   /// frames before the ack) and leaves the record inspectable server-side.
   StatsFrame close_session();
 
-  /// RESET: re-arm the session mid-stream (warm keeps trained thresholds).
-  StatsFrame reset_session(bool warm);
-
   /// Non-blocking: pull any EVENT frames sitting in the socket, then move
   /// every collected event into \p out. Returns how many were appended.
   std::size_t take_events(std::vector<stream::Event>& out);

@@ -135,7 +135,6 @@ class OnlineDetector {
 
   [[nodiscard]] const DetectorParams& params() const noexcept { return p_; }
   [[nodiscard]] bool flushed() const noexcept { return flushed_; }
-  [[nodiscard]] u64 samples_seen() const noexcept { return n_; }
 
   /// Cumulative detection output (empty when keep_result is off). Peaks are
   /// kept sorted and deduplicated at all times; after flush() this equals
@@ -158,7 +157,6 @@ class OnlineDetector {
   // --- history access (absolute stream indices over the trimmed window) ---
   [[nodiscard]] i32 mwi_at(std::size_t i) const noexcept { return mwi_[i - base_]; }
   [[nodiscard]] i32 hpf_at(std::size_t i) const noexcept { return hpf_[i - base_]; }
-  [[nodiscard]] i32 raw_at(std::size_t i) const noexcept { return raw_[i - base_]; }
   [[nodiscard]] std::size_t argmax_in(const std::vector<i32>& v, std::ptrdiff_t lo,
                                       std::ptrdiff_t hi) const;
   [[nodiscard]] double rising_slope(std::size_t peak, int lookback) const;

@@ -157,19 +157,24 @@ TEST(PtRecursiveStreaming, ChunkedRecursiveFiltersMatchWholeRecord) {
   const auto lpf_batch = pt_recursive_lpf(x);
   const auto hpf_batch = pt_recursive_hpf(x);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{17}, std::size_t{100}}) {
-    PtRecursiveLpf::State lst = PtRecursiveLpf::make_state();
-    PtRecursiveHpf::State hst = PtRecursiveHpf::make_state();
+    PtRecursiveLpf lpf_filter;
+    PtRecursiveHpf hpf_filter;
     std::vector<double> lpf, hpf;
     for (std::size_t at = 0; at < x.size(); at += chunk) {
       const auto len = std::min(chunk, x.size() - at);
       const auto span = std::span<const double>(x).subspan(at, len);
-      const auto l = PtRecursiveLpf::process_chunk(lst, span);
-      const auto h = PtRecursiveHpf::process_chunk(hst, span);
+      const auto l = lpf_filter.process_chunk(span);
+      const auto h = hpf_filter.process_chunk(span);
       lpf.insert(lpf.end(), l.begin(), l.end());
       hpf.insert(hpf.end(), h.begin(), h.end());
     }
     EXPECT_EQ(lpf, lpf_batch) << "chunk " << chunk;
     EXPECT_EQ(hpf, hpf_batch) << "chunk " << chunk;
+    // reset() re-arms the same filter for a fresh record.
+    lpf_filter.reset();
+    hpf_filter.reset();
+    EXPECT_EQ(lpf_filter.process_chunk(x), lpf_batch) << "chunk " << chunk;
+    EXPECT_EQ(hpf_filter.process_chunk(x), hpf_batch) << "chunk " << chunk;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "xbs/arith/isa.hpp"
 #include "xbs/arith/kernel.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/core/paper_configs.hpp"
@@ -354,6 +355,169 @@ TEST(MwiSharedSubtreeWindows, EveryWindowWithPortAsymmetricAdder) {
       SCOPED_TRACE(::testing::Message() << "lsbs " << lsbs);
       expect_chunked_mwi_matches(cfg, window, x);
     }
+  }
+}
+
+/// Tap sets of the sum-form FIR: the Pan-Tompkins filters, edge shapes, and
+/// seeded random sets of 1-64 taps in [-40, 40] whose non-zero counts
+/// alternate in parity.
+std::vector<std::vector<int>> fir_tap_sets() {
+  std::vector<std::vector<int>> sets = {
+      {dsp::pt::kLpfTaps.begin(), dsp::pt::kLpfTaps.end()},
+      {dsp::pt::kHpfTaps.begin(), dsp::pt::kHpfTaps.end()},
+      {dsp::pt::kDerTaps.begin(), dsp::pt::kDerTaps.end()},
+      {-7},                   // one tap
+      {0, 0, 9, 0},           // one non-zero tap among zeros
+      {0, 0, 5, -3, 40, 0},   // leading and trailing zeros
+      {0, 0, 0},              // all zeros
+  };
+  Rng rng(2024);
+  for (const std::size_t size : {1, 2, 8, 17, 33, 64}) {
+    std::vector<int> taps(size);
+    for (int& c : taps) c = static_cast<int>(rng.uniform_int(-40, 40));
+    const auto nonzero = static_cast<std::size_t>(
+        std::count_if(taps.begin(), taps.end(), [](int c) { return c != 0; }));
+    if (nonzero % 2 != sets.size() % 2) taps.back() = taps.back() == 0 ? -40 : 0;
+    sets.push_back(taps);
+  }
+  return sets;
+}
+
+/// Input over the full 16-bit range, its extremes first.
+std::vector<i32> full_range_signal(std::size_t n, u64 seed) {
+  std::vector<i32> x = {-32768, 32767, -32768, -32768, 32767, 32767, -1, 0, 1};
+  Rng rng(seed);
+  while (x.size() < n) x.push_back(static_cast<i32>(rng.uniform_int(-32768, 32767)));
+  return x;
+}
+
+/// Streams \p x through FirStage::process_chunk under every usable ISA tier,
+/// for chunk sizes on either side of the 16-output blocks, the table-build
+/// threshold and run_stage's 1024-sample block, against the literal per-tap
+/// chain (process(x)): outputs, op counts and the delay line carried on
+/// afterwards. The stage's 16-bit output saturates most accumulators, so
+/// fir_n's full accumulators over the same chunk windows are checked against
+/// the chain too.
+void expect_chunked_fir_matches(const arith::StageArithConfig& cfg, std::span<const int> taps,
+                                std::span<const i32> x,
+                                std::span<const std::size_t> chunks) {
+  const std::vector<i32> tail = {32767, -32768, 123, -4567};
+  const std::unique_ptr<arith::Kernel> scalar_kernel = arith::make_kernel(cfg);
+  FirStage scalar(taps, 0, *scalar_kernel);
+  std::vector<i32> want;
+  for (const i32 v : x) want.push_back(scalar.process(v));
+  const arith::OpCounts want_counts = scalar_kernel->counts();
+  std::vector<i32> want_tail;
+  for (const i32 v : tail) want_tail.push_back(scalar.process(v));
+
+  const std::size_t T = taps.size();
+  std::vector<i64> padded(T - 1, 0);  // a fresh stage's zero history, then x
+  padded.insert(padded.end(), x.begin(), x.end());
+  std::vector<i64> want_acc;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    i64 acc = 0;
+    bool first = true;
+    for (std::size_t j = 0; j < T; ++j) {
+      if (taps[j] == 0) continue;
+      const i64 p = scalar_kernel->mul(taps[j], padded[T - 1 - j + i]);
+      acc = first ? p : scalar_kernel->add(acc, p);
+      first = false;
+    }
+    want_acc.push_back(acc);
+  }
+
+  for (const arith::Isa isa : arith::kAllIsas) {
+    if (!arith::isa_usable(isa)) continue;
+    (void)arith::force_kernel_isa(isa);
+    for (const std::size_t chunk : chunks) {
+      SCOPED_TRACE(::testing::Message() << to_string(isa) << ", chunk " << chunk);
+      const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
+      FirStage block(taps, 0, *kernel);
+      std::vector<i32> got;
+      std::vector<i32> y;
+      std::vector<i64> got_acc(x.size());
+      const std::unique_ptr<arith::Kernel> acc_kernel = arith::make_kernel(cfg);
+      for (std::size_t at = 0; at < x.size(); at += chunk) {
+        const std::size_t n = std::min(chunk, x.size() - at);
+        block.process_chunk(x.subspan(at, n), y);
+        got.insert(got.end(), y.begin(), y.end());
+        acc_kernel->fir_n(taps, std::span<const i64>(padded).subspan(at, n + T - 1),
+                          std::span<i64>(got_acc).subspan(at, n));
+      }
+      ASSERT_EQ(got_acc, want_acc);
+      ASSERT_EQ(got, want);
+      EXPECT_EQ(kernel->counts(), want_counts);
+      EXPECT_EQ(acc_kernel->counts(), want_counts);
+      for (std::size_t i = 0; i < tail.size(); ++i) {
+        EXPECT_EQ(block.process(tail[i]), want_tail[i]) << i;
+      }
+    }
+  }
+  (void)arith::force_kernel_isa_auto();
+}
+
+constexpr std::size_t kFirChunks[] = {1, 2, 31, 32, 33, 64, 511, 512, 1023, 1024, 1025};
+
+/// One multiplier for every adder: its tables are warmed once and shared.
+constexpr arith::MultiplierConfig kFirMult{16, 4, AdderKind::Accurate, MultKind::V1,
+                                           ApproxPolicy::Moderate};
+
+/// The sum-form fir_n (one modular sum per output for the exact, accurate-
+/// adder and AMA4/AMA5 chains; the reference chain for AMA1-AMA3) against
+/// process(x), for every adder kind and approximate-bit count of a 32-bit
+/// adder.
+class FirSumForm : public ::testing::TestWithParam<AdderKind> {};
+
+TEST_P(FirSumForm, ChunkedMatchesPerTapChain) {
+  const std::vector<std::vector<int>> sets = fir_tap_sets();
+  for (int c = -40; c <= 40; ++c) {
+    if (c != 0) (void)arith::get_signed_coeff_products(kFirMult, c);
+  }
+  const std::vector<i32> x = full_range_signal(1100, 21);
+  for (const int lsbs : {0, 1, 2, 4, 10, 16, 31, 32}) {
+    arith::StageArithConfig cfg;
+    cfg.adder = arith::AdderConfig{32, lsbs, GetParam(), 0};
+    cfg.mult = kFirMult;
+    for (std::size_t t = 0; t < sets.size(); ++t) {
+      SCOPED_TRACE(::testing::Message() << "lsbs " << lsbs << ", tap set " << t);
+      expect_chunked_fir_matches(cfg, sets[t], x, kFirChunks);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AdderKinds, FirSumForm, ::testing::ValuesIn(kAllAdderKinds));
+
+TEST(FirSumFormExact, ExactKernelMatchesPerTapChain) {
+  const std::vector<i32> x = full_range_signal(1100, 22);
+  for (const std::vector<int>& taps : fir_tap_sets()) {
+    expect_chunked_fir_matches(arith::StageArithConfig{}, taps, x, kFirChunks);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(FirSumFormFallbacks, WideTapSetsAndColdTablesTakeTheChain) {
+  const std::vector<i32> x = full_range_signal(1100, 23);
+  // 80 distinct coefficients: more than the sum form's 64 rows.
+  std::vector<int> wide;
+  for (int c = -40; c <= 40; ++c) {
+    if (c != 0) wide.push_back(c);
+  }
+  for (const AdderKind kind : {AdderKind::Accurate, AdderKind::Approx4, AdderKind::Approx5}) {
+    SCOPED_TRACE(to_string(kind));
+    arith::StageArithConfig cfg;
+    cfg.adder = arith::AdderConfig{32, 12, kind, 0};
+    cfg.mult = kFirMult;
+    expect_chunked_fir_matches(cfg, wide, x, kFirChunks);
+    expect_chunked_fir_matches(arith::StageArithConfig{}, wide, x, kFirChunks);
+
+    // A multiplier no other test builds: below the threshold the chunks use
+    // no cold table, and build none.
+    cfg.mult = arith::MultiplierConfig{16, 9, kind, MultKind::V2, ApproxPolicy::Aggressive};
+    const u64 tables_before = arith::table_cache_stats().signed_tables;
+    const std::size_t short_chunks[] = {1, 33, 511};
+    expect_chunked_fir_matches(cfg, dsp::pt::kHpfTaps, x, short_chunks);
+    EXPECT_EQ(arith::table_cache_stats().signed_tables, tables_before);
   }
 }
 
